@@ -12,6 +12,15 @@
 //! [`Router`] owns the manager table and the detector index that maps
 //! low-level sentry observations to event types.
 //!
+//! The flow has one path, and it takes slices: the sentry hands
+//! [`Router::raise_method`] every observed call of an invocation (one
+//! for a single call, the whole batch for a batched one), which stamps
+//! occurrences in call order and hands each run of one event type to
+//! [`Router::deliver`], which fires the manager's rules through
+//! [`FireHandler::fire`] and feeds the composite managers. The other
+//! detectors raise one occurrence at a time through the same
+//! `deliver`. The ordering contract is on [`Router::deliver`].
+//!
 //! Composition can run **synchronously** (deterministic, used by most
 //! tests) or **in parallel** — one worker thread per composite manager
 //! fed over a channel, which is the paper's "event composition process
@@ -188,22 +197,13 @@ type WorkerHandle = (Sender<WorkerMsg>, std::thread::JoinHandle<()>);
 /// Consumer of completed composite occurrences and directly-fired rules.
 /// Implemented by the engine (`crate::engine`).
 pub trait FireHandler: Send + Sync {
-    /// Fire `rules` (already filtered to enabled) for `occ`.
-    fn fire(&self, rules: Vec<Arc<Rule>>, occ: Arc<EventOccurrence>);
-
-    /// Fire the same rule set for every occurrence of a batch, in
-    /// event order. The default loops over [`FireHandler::fire`]; the
-    /// engine overrides it to order and partition the rule set once
-    /// for the whole batch.
-    fn fire_batch(&self, rules: Vec<Arc<Rule>>, occs: &[Arc<EventOccurrence>]) {
-        for occ in occs {
-            self.fire(rules.clone(), Arc::clone(occ));
-        }
-    }
+    /// Fire `rules` (already filtered to enabled) for each occurrence of
+    /// `occs`, in event order.
+    fn fire(&self, rules: Vec<Arc<Rule>>, occs: &[Arc<EventOccurrence>]);
 }
 
-/// One observed method invocation inside a batched raise — the
-/// per-call fields of [`Router::raise_method`].
+/// One observed method invocation — the per-call fields of
+/// [`Router::raise_method`].
 pub struct MethodObservation<'a> {
     pub txn: TxnId,
     pub top: TxnId,
@@ -541,119 +541,119 @@ impl Router {
 
     // ---- detection entry points ----
 
-    /// A monitored method invocation was observed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn raise_method(
-        self: &Arc<Self>,
-        txn: TxnId,
-        top: TxnId,
-        at: TimePoint,
-        receiver: reach_common::ObjectId,
-        class: ClassId,
-        method: MethodId,
-        phase: MethodPhase,
-        args: &reach_object::Args,
-    ) {
-        let types = self.lookup_method(class, method, phase);
-        for ty in types {
-            let occ = Arc::new(EventOccurrence {
-                event_type: ty,
-                seq: self.next_seq(),
-                at,
-                txn: Some(txn),
-                top_txn: Some(top),
-                data: EventData {
-                    receiver: Some(receiver),
-                    args: args.clone(),
-                    ..Default::default()
-                },
-                constituents: Vec::new(),
-            });
-            self.trace.log(|| {
-                format!(
-                    "method-event detected (class {class}, {method}, {phase:?}) -> ECA-manager[{ty}]"
-                )
-            });
-            self.deliver(occ);
-        }
-    }
-
-    /// Batched [`Router::raise_method`]: amortize the detector-index
-    /// lookup, occurrence construction and delivery over runs of equal
-    /// `(class, method, phase)` — the shape a telemetry batch has.
+    /// Monitored method invocations were observed, in invocation order
+    /// (a single invocation is a slice of one).
     ///
-    /// When a run maps to a *single* event type, its occurrences are
-    /// delivered as one batch (see [`Router::deliver_batch`] for the
-    /// ordering contract). Keys with several registered event types
-    /// keep the per-call type interleaving of the unbatched path.
-    pub fn raise_method_batch(self: &Arc<Self>, batch: &[MethodObservation<'_>]) {
-        let mut i = 0;
-        while i < batch.len() {
-            let key = (batch[i].class, batch[i].method, batch[i].phase);
-            let mut j = i + 1;
-            while j < batch.len() && (batch[j].class, batch[j].method, batch[j].phase) == key {
-                j += 1;
-            }
-            let types = self.lookup_method(key.0, key.1, key.2);
-            let make_occ = |m: &MethodObservation<'_>, ty: EventTypeId| {
-                Arc::new(EventOccurrence {
-                    event_type: ty,
-                    seq: self.next_seq(),
-                    at: m.at,
-                    txn: Some(m.txn),
-                    top_txn: Some(m.top),
-                    data: EventData {
-                        receiver: Some(m.receiver),
-                        args: m.args.clone(),
-                        ..Default::default()
-                    },
-                    constituents: Vec::new(),
-                })
+    /// Runs of equal `(class, method, phase)` share one detector-index
+    /// lookup. A run whose key maps to a *single* event type is
+    /// delivered as one slice (see [`Router::deliver`] for the ordering
+    /// contract); a key registered to several event types keeps the
+    /// per-call interleaving of its types.
+    pub fn raise_method(self: &Arc<Self>, observed: &[MethodObservation<'_>]) {
+        let mut rest = observed;
+        while let Some(first) = rest.first() {
+            let (class, method, phase) = (first.class, first.method, first.phase);
+            let n = rest
+                .iter()
+                .position(|m| (m.class, m.method, m.phase) != (class, method, phase))
+                .unwrap_or(rest.len());
+            let (run, tail) = rest.split_at(n);
+            rest = tail;
+            let types = self.lookup_lineage(&self.method_index, class, |c| (c, method, phase));
+            let occurrence = |m: &MethodObservation<'_>, ty| {
+                let data = EventData {
+                    receiver: Some(m.receiver),
+                    args: m.args.clone(),
+                    ..Default::default()
+                };
+                Arc::new(self.occurrence(ty, m.at, Some(m.txn), Some(m.top), data))
             };
-            if types.len() == 1 {
-                let ty = types[0];
-                self.trace.log(|| {
-                    format!(
-                        "method-event batch x{} (class {}, {}, {:?}) -> ECA-manager[{ty}]",
-                        j - i,
-                        key.0,
-                        key.1,
-                        key.2
-                    )
-                });
-                let occs: Vec<_> = batch[i..j].iter().map(|m| make_occ(m, ty)).collect();
-                self.deliver_batch(occs);
-            } else {
-                for m in &batch[i..j] {
-                    for &ty in &types {
-                        self.deliver(make_occ(m, ty));
+            match types[..] {
+                // One event type, several calls: deliver the run as one
+                // slice.
+                [ty] if run.len() > 1 => {
+                    self.trace.log(|| {
+                        format!(
+                            "method-event batch x{n} (class {class}, {method}, {phase:?}) \
+                             -> ECA-manager[{ty}]"
+                        )
+                    });
+                    let occs: Vec<_> = run.iter().map(|m| occurrence(m, ty)).collect();
+                    self.deliver(&occs);
+                }
+                // One call, or a key with several types: per call, each
+                // type in registration order.
+                _ => {
+                    for m in run {
+                        for &ty in &types {
+                            self.trace.log(|| {
+                                format!(
+                                    "method-event detected (class {class}, {method}, {phase:?}) \
+                                     -> ECA-manager[{ty}]"
+                                )
+                            });
+                            self.deliver(std::slice::from_ref(&occurrence(m, ty)));
+                        }
                     }
                 }
             }
-            i = j;
         }
     }
 
-    fn lookup_method(
+    /// Event types registered in `index` for `class` or any ancestor —
+    /// events declared on a base class catch subclass receivers. `key`
+    /// builds the index key for one class of the lineage.
+    fn lookup_lineage<K: Eq + std::hash::Hash>(
         &self,
+        index: &RwLock<HashMap<K, Vec<EventTypeId>>>,
         class: ClassId,
-        method: MethodId,
-        phase: MethodPhase,
+        key: impl Fn(ClassId) -> K,
     ) -> Vec<EventTypeId> {
-        let index = self.method_index.read();
-        let mut out = Vec::new();
-        if let Some(tys) = index.get(&(class, method, phase)) {
-            out.extend_from_slice(tys);
+        let lineage = self.schema.lineage(class).unwrap_or_else(|_| vec![class]);
+        let index = index.read();
+        lineage
+            .into_iter()
+            .filter_map(|c| index.get(&key(c)))
+            .flatten()
+            .copied()
+            .collect()
+    }
+
+    /// A primitive occurrence of `event_type`, stamped with the next
+    /// event sequence number.
+    fn occurrence(
+        &self,
+        event_type: EventTypeId,
+        at: TimePoint,
+        txn: Option<TxnId>,
+        top_txn: Option<TxnId>,
+        data: EventData,
+    ) -> EventOccurrence {
+        EventOccurrence {
+            event_type,
+            seq: self.next_seq(),
+            at,
+            txn,
+            top_txn,
+            data,
+            constituents: Vec::new(),
         }
-        // Events declared on a base class catch subclass receivers.
-        if let Ok(lineage) = self.schema.lineage(class) {
-            for anc in lineage.into_iter().skip(1) {
-                if let Some(tys) = index.get(&(anc, method, phase)) {
-                    out.extend_from_slice(tys);
-                }
-            }
+    }
+
+    /// Deliver one fresh occurrence of each type in `types`; `data`
+    /// builds each payload, so nothing is built when no type matches.
+    fn raise_each(
+        self: &Arc<Self>,
+        types: &[EventTypeId],
+        at: TimePoint,
+        txn: Option<TxnId>,
+        top: Option<TxnId>,
+        data: impl Fn() -> EventData,
+    ) {
+        for &ty in types {
+            let occ = Arc::new(self.occurrence(ty, at, txn, top, data()));
+            self.deliver(std::slice::from_ref(&occ));
         }
-        out
     }
 
     /// A state change was observed.
@@ -669,41 +669,18 @@ impl Router {
         old: reach_object::Value,
         new: reach_object::Value,
     ) {
-        let types = {
-            let index = self.state_index.read();
-            let mut out = Vec::new();
-            if let Some(tys) = index.get(&(class, attribute.to_string())) {
-                out.extend_from_slice(tys);
-            }
-            if let Ok(lineage) = self.schema.lineage(class) {
-                for anc in lineage.into_iter().skip(1) {
-                    if let Some(tys) = index.get(&(anc, attribute.to_string())) {
-                        out.extend_from_slice(tys);
-                    }
-                }
-            }
-            out
-        };
+        let types = self.lookup_lineage(&self.state_index, class, |c| (c, attribute.to_string()));
         for ty in types {
-            let occ = Arc::new(EventOccurrence {
-                event_type: ty,
-                seq: self.next_seq(),
-                at,
-                txn: Some(txn),
-                top_txn: Some(top),
-                data: EventData {
-                    receiver: Some(receiver),
-                    attribute: Some(attribute.to_string()),
-                    old: Some(old.clone()),
-                    new: Some(new.clone()),
-                    ..Default::default()
-                },
-                constituents: Vec::new(),
-            });
             self.trace.log(|| {
                 format!("state-change detected ({class}.{attribute}) -> ECA-manager[{ty}]")
             });
-            self.deliver(occ);
+            self.raise_each(&[ty], at, Some(txn), Some(top), || EventData {
+                receiver: Some(receiver),
+                attribute: Some(attribute.to_string()),
+                old: Some(old.clone()),
+                new: Some(new.clone()),
+                ..Default::default()
+            });
         }
     }
 
@@ -717,33 +694,10 @@ impl Router {
         class: ClassId,
         deletion: bool,
     ) {
-        let types = {
-            let index = self.lifecycle_index.read();
-            let mut out = Vec::new();
-            if let Some(tys) = index.get(&(class, deletion)) {
-                out.extend_from_slice(tys);
-            }
-            if let Ok(lineage) = self.schema.lineage(class) {
-                for anc in lineage.into_iter().skip(1) {
-                    if let Some(tys) = index.get(&(anc, deletion)) {
-                        out.extend_from_slice(tys);
-                    }
-                }
-            }
-            out
-        };
-        for ty in types {
-            let occ = Arc::new(EventOccurrence {
-                event_type: ty,
-                seq: self.next_seq(),
-                at,
-                txn: Some(txn),
-                top_txn: Some(top),
-                data: EventData::for_receiver(receiver),
-                constituents: Vec::new(),
-            });
-            self.deliver(occ);
-        }
+        let types = self.lookup_lineage(&self.lifecycle_index, class, |c| (c, deletion));
+        self.raise_each(&types, at, Some(txn), Some(top), || {
+            EventData::for_receiver(receiver)
+        });
     }
 
     /// An object was made persistent.
@@ -755,33 +709,10 @@ impl Router {
         receiver: reach_common::ObjectId,
         class: ClassId,
     ) {
-        let types = {
-            let index = self.persist_index.read();
-            let mut out = Vec::new();
-            if let Some(tys) = index.get(&class) {
-                out.extend_from_slice(tys);
-            }
-            if let Ok(lineage) = self.schema.lineage(class) {
-                for anc in lineage.into_iter().skip(1) {
-                    if let Some(tys) = index.get(&anc) {
-                        out.extend_from_slice(tys);
-                    }
-                }
-            }
-            out
-        };
-        for ty in types {
-            let occ = Arc::new(EventOccurrence {
-                event_type: ty,
-                seq: self.next_seq(),
-                at,
-                txn: Some(txn),
-                top_txn: Some(top),
-                data: EventData::for_receiver(receiver),
-                constituents: Vec::new(),
-            });
-            self.deliver(occ);
-        }
+        let types = self.lookup_lineage(&self.persist_index, class, |c| c);
+        self.raise_each(&types, at, Some(txn), Some(top), || {
+            EventData::for_receiver(receiver)
+        });
     }
 
     /// A transaction flow point was reached.
@@ -795,18 +726,7 @@ impl Router {
             .get(&point)
             .cloned()
             .unwrap_or_default();
-        for ty in types {
-            let occ = Arc::new(EventOccurrence {
-                event_type: ty,
-                seq: self.next_seq(),
-                at,
-                txn: Some(txn),
-                top_txn: Some(top),
-                data: EventData::default(),
-                constituents: Vec::new(),
-            });
-            self.deliver(occ);
-        }
+        self.raise_each(&types, at, Some(txn), Some(top), EventData::default);
     }
 
     /// An explicit application signal.
@@ -819,106 +739,137 @@ impl Router {
         receiver: Option<reach_common::ObjectId>,
         args: Vec<reach_object::Value>,
     ) {
-        let args: reach_object::Args = args.into();
         let types = self
             .signal_index
             .read()
             .get(name)
             .cloned()
             .unwrap_or_default();
-        for ty in types {
-            let occ = Arc::new(EventOccurrence {
-                event_type: ty,
-                seq: self.next_seq(),
-                at,
-                txn,
-                top_txn: top,
-                data: EventData {
-                    signal: Some(name.to_string()),
-                    receiver,
-                    args: args.clone(),
-                    ..Default::default()
-                },
-                constituents: Vec::new(),
-            });
-            self.deliver(occ);
-        }
+        let args: reach_object::Args = args.into();
+        self.raise_each(&types, at, txn, top, || EventData {
+            signal: Some(name.to_string()),
+            receiver,
+            args: args.clone(),
+            ..Default::default()
+        });
     }
 
     /// A temporal event fired (called by the temporal manager).
     pub fn raise_temporal(self: &Arc<Self>, ty: EventTypeId, at: TimePoint) {
-        let occ = Arc::new(EventOccurrence {
-            event_type: ty,
-            seq: self.next_seq(),
-            at,
-            txn: None,
-            top_txn: None,
-            data: EventData::default(),
-            constituents: Vec::new(),
-        });
         self.trace
             .log(|| format!("temporal event at {at} -> ECA-manager[{ty}]"));
-        self.deliver(occ);
+        self.raise_each(&[ty], at, None, None, EventData::default);
     }
 
     // ---- delivery (Figure 2) ----
 
-    /// Deliver an occurrence to its ECA-manager: history, rules,
-    /// propagation to composite managers.
-    pub fn deliver(self: &Arc<Self>, occ: Arc<EventOccurrence>) {
-        let Some(mgr) = self.manager(occ.event_type) else {
+    /// Deliver occurrences of **one event type** (in `seq` order; a
+    /// single occurrence is a slice of one) to their ECA-manager:
+    /// history, rules, propagation to composite managers. The manager
+    /// lookup, history append, rule snapshot and metrics stamp are paid
+    /// once per slice.
+    ///
+    /// Ordering contract, relative to delivering the occurrences one
+    /// slice each:
+    /// * rule firing sequences are identical — occurrences go through
+    ///   the engine in event order, and events raised *by* a fired rule
+    ///   are still delivered inline before the next occurrence fires;
+    /// * when the type has composite subscribers, the exact per-event
+    ///   interleaving `[observers, fire, feed]` is kept per occurrence;
+    /// * when it has none (nothing to feed), passive observers see the
+    ///   whole slice before the first rule fires — observers cannot
+    ///   veto or fire, so firing sequences are unaffected, and the
+    ///   engine can amortize scheduling over the slice;
+    /// * the slice is recorded into the local history up front, so a
+    ///   rule reading its own manager's history mid-slice sees events
+    ///   of later occurrences already recorded.
+    pub fn deliver(self: &Arc<Self>, occs: &[Arc<EventOccurrence>]) {
+        let Some(first) = occs.first() else {
+            return;
+        };
+        debug_assert!(occs.iter().all(|o| o.event_type == first.event_type));
+        let Some(mgr) = self.manager(first.event_type) else {
             return;
         };
         let t0 = self.metrics.span_start();
         if t0.is_some() {
-            self.metrics.events.detected.inc();
+            self.metrics.events.detected.add(occs.len() as u64);
         }
-        self.trace.log(|| {
-            format!(
+        self.trace.log(|| match occs {
+            [occ] => format!(
                 "ECA-manager[{}] creates Event object (seq {})",
                 mgr.name, occ.seq
-            )
+            ),
+            _ => format!(
+                "ECA-manager[{}] creates {} Event objects (batch)",
+                mgr.name,
+                occs.len()
+            ),
         });
-        mgr.history.record(Arc::clone(&occ));
-        for obs in self.observers.read().iter() {
-            obs(&occ);
-        }
-        // 1. Fire directly-attached rules.
+        mgr.history.record(occs);
         let rules = mgr.rules();
-        if !rules.is_empty() {
-            self.trace.log(|| {
-                format!(
-                    "ECA-manager[{}] fires {} rule(s), then signals go-ahead",
-                    mgr.name,
-                    rules.len()
-                )
-            });
-            if let Some(h) = self.handler.read().clone() {
-                h.fire(rules, Arc::clone(&occ));
+        let handler = if rules.is_empty() {
+            None
+        } else {
+            self.handler.read().clone()
+        };
+        let fires = || {
+            format!(
+                "ECA-manager[{}] fires {} rule(s), then signals go-ahead",
+                mgr.name,
+                rules.len()
+            )
+        };
+        let subscribers = mgr.subscribers();
+        if subscribers.is_empty() {
+            self.notify_observers(occs);
+            if let Some(h) = handler {
+                self.trace.log(fires);
+                h.fire(rules, occs);
             }
-        }
-        // 2. Propagate to composite ECA-managers.
-        for sub in mgr.subscribers() {
-            let Some(sub_mgr) = self.manager(sub) else {
-                continue;
-            };
-            if !self.composes(&sub_mgr, false) {
-                continue;
-            }
-            self.trace.log(|| {
-                format!(
-                    "ECA-manager[{}] propagates -> composite ECA-manager[{}]",
-                    mgr.name, sub_mgr.name
-                )
-            });
-            // Fast path: the manager's cached worker inbox.
-            if !self.send_feed(&sub_mgr, &occ) {
-                self.feed_compositor(&sub_mgr, &occ);
+        } else {
+            let sub_mgrs: Vec<_> = subscribers
+                .iter()
+                .filter_map(|s| self.manager(*s))
+                .filter(|m| self.composes(m, false))
+                .collect();
+            for occ in occs {
+                self.notify_observers(std::slice::from_ref(occ));
+                if let Some(h) = &handler {
+                    self.trace.log(fires);
+                    h.fire(rules.clone(), std::slice::from_ref(occ));
+                }
+                for sub_mgr in &sub_mgrs {
+                    self.trace.log(|| {
+                        format!(
+                            "ECA-manager[{}] propagates -> composite ECA-manager[{}]",
+                            mgr.name, sub_mgr.name
+                        )
+                    });
+                    // Fast path: the manager's cached worker inbox.
+                    if !self.send_feed(sub_mgr, occ) {
+                        self.feed_compositor(sub_mgr, occ);
+                    }
+                }
             }
         }
         if let Some(t0) = t0 {
             self.metrics
                 .record_span(Stage::EcaManager, t0.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// Show `occs` to every passive observer. The list is borrowed, not
+    /// cloned, on every delivery: observers are added only while a
+    /// deployment is assembled, so no writer waits on the lock that a
+    /// re-entrant delivery (an observer shipping to another shard whose
+    /// completion comes back here) reads again.
+    fn notify_observers(&self, occs: &[Arc<EventOccurrence>]) {
+        let observers = self.observers.read();
+        for occ in occs {
+            for obs in observers.iter() {
+                obs(occ);
+            }
         }
     }
 
@@ -943,90 +894,6 @@ impl Router {
             if !self.send_feed(&sub_mgr, &occ) {
                 self.feed_compositor(&sub_mgr, &occ);
             }
-        }
-    }
-
-    /// Deliver a batch of occurrences of **one event type** (in `seq`
-    /// order), amortizing the per-event costs of [`Router::deliver`]:
-    /// one manager lookup, one history append, one rules/subscribers/
-    /// observers snapshot and one metrics stamp for the whole batch.
-    ///
-    /// Ordering contract, relative to per-event delivery:
-    /// * rule firing sequences are identical — occurrences go through
-    ///   the engine in event order, and events raised *by* a fired rule
-    ///   are still delivered inline before the next occurrence fires;
-    /// * when the type has composite subscribers, the exact per-event
-    ///   interleaving `[observers, fire, feed]` is kept per occurrence;
-    /// * when it has none (nothing to feed), passive observers see the
-    ///   whole batch before the first rule fires — observers cannot
-    ///   veto or fire, so firing sequences are unaffected, and the
-    ///   engine can amortize scheduling over the batch;
-    /// * the batch is recorded into the local history up front, so a
-    ///   rule reading its own manager's history mid-batch sees events
-    ///   of later batch occurrences already recorded.
-    pub fn deliver_batch(self: &Arc<Self>, occs: Vec<Arc<EventOccurrence>>) {
-        if occs.len() <= 1 {
-            if let Some(occ) = occs.into_iter().next() {
-                self.deliver(occ);
-            }
-            return;
-        }
-        debug_assert!(occs.windows(2).all(|w| w[0].event_type == w[1].event_type));
-        let Some(mgr) = self.manager(occs[0].event_type) else {
-            return;
-        };
-        let t0 = self.metrics.span_start();
-        if t0.is_some() {
-            self.metrics.events.detected.add(occs.len() as u64);
-        }
-        self.trace.log(|| {
-            format!(
-                "ECA-manager[{}] creates {} Event objects (batch)",
-                mgr.name,
-                occs.len()
-            )
-        });
-        mgr.history.record_batch(&occs);
-        let observers = self.observers.read().clone();
-        let rules = mgr.rules();
-        let handler = if rules.is_empty() {
-            None
-        } else {
-            self.handler.read().clone()
-        };
-        let subscribers = mgr.subscribers();
-        if subscribers.is_empty() {
-            for occ in &occs {
-                for obs in &observers {
-                    obs(occ);
-                }
-            }
-            if let Some(h) = handler {
-                h.fire_batch(rules, &occs);
-            }
-        } else {
-            let sub_mgrs: Vec<_> = subscribers
-                .iter()
-                .filter_map(|s| self.manager(*s))
-                .filter(|m| self.composes(m, false))
-                .collect();
-            for occ in &occs {
-                for obs in &observers {
-                    obs(occ);
-                }
-                if let Some(h) = &handler {
-                    h.fire(rules.clone(), Arc::clone(occ));
-                }
-                for sub_mgr in &sub_mgrs {
-                    if !self.send_feed(sub_mgr, occ) {
-                        self.feed_compositor(sub_mgr, occ);
-                    }
-                }
-            }
-        }
-        if let Some(t0) = t0 {
-            self.metrics
-                .record_span(Stage::EcaManager, t0.elapsed().as_nanos() as u64);
         }
     }
 
@@ -1112,13 +979,8 @@ impl Router {
             .max()
             .unwrap_or(TimePoint::ZERO);
         let occ = Arc::new(EventOccurrence {
-            event_type: mgr.event_type,
-            seq: self.next_seq(),
-            at,
-            txn,
-            top_txn: top,
-            data: EventData::default(),
             constituents: completion.constituents,
+            ..self.occurrence(mgr.event_type, at, txn, top, EventData::default())
         });
         if self.metrics.on() {
             self.metrics.events.composites_completed.inc();
@@ -1135,7 +997,7 @@ impl Router {
                 }
             )
         });
-        self.deliver(occ);
+        self.deliver(std::slice::from_ref(&occ));
     }
 
     // ---- lifecycle hooks from the transaction manager ----

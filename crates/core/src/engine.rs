@@ -5,7 +5,10 @@
 //! * **ordering** — rules fired by one event run by priority; ties break
 //!   oldest-rule-first (default) or newest-rule-first; the deferred
 //!   drain can additionally put simple-event rules ahead of
-//!   composite-event rules;
+//!   composite-event rules. [`Engine::fire`] takes the occurrences of
+//!   one event type as a slice (a single event is a slice of one),
+//!   orders the rule set once, and then fires per occurrence in event
+//!   order;
 //! * **immediate** rules run as subtransactions at the detection point —
 //!   either serially (the paper's ring-sequence fallback for the missing
 //!   nested-transaction parallelism) or as parallel sibling
@@ -464,14 +467,7 @@ impl Engine {
         if let Some(ac) = rule.action_coupling {
             return match rule.eval_condition(&ctx) {
                 Ok(true) => {
-                    match ac {
-                        CouplingMode::Deferred => {
-                            self.enqueue_deferred(Arc::clone(rule), Arc::clone(occ), true)
-                        }
-                        mode => {
-                            self.spawn_detached_inner(Arc::clone(rule), Arc::clone(occ), mode, true)
-                        }
-                    }
+                    self.schedule_action(rule, occ, ac);
                     Ok(true)
                 }
                 Ok(false) => {
@@ -615,28 +611,28 @@ impl Engine {
         out
     }
 
-    fn fire_immediate(self: &Arc<Self>, rules: Vec<Arc<Rule>>, occ: &Arc<EventOccurrence>) {
+    /// Run the immediate rules of the ordered set `rules` for `occ`.
+    fn fire_immediate(self: &Arc<Self>, rules: &[Arc<Rule>], occ: &Arc<EventOccurrence>) {
+        let mut immediate = rules
+            .iter()
+            .filter(|r| r.coupling == CouplingMode::Immediate)
+            .peekable();
+        if immediate.peek().is_none() {
+            return;
+        }
         let Some(parent) = occ.txn else {
-            self.metrics.engine.failures.add(rules.len() as u64);
+            self.metrics.engine.failures.add(immediate.count() as u64);
             return;
         };
         // Phase 1: conditions, in order, in the triggering transaction.
         let mut to_run = Vec::new();
-        for rule in rules {
-            match self.immediate_condition(&rule, parent, occ) {
-                Ok(true) => {
-                    if let Some(ac) = rule.action_coupling {
-                        // Split C-A coupling: schedule the action later.
-                        match ac {
-                            CouplingMode::Deferred => {
-                                self.enqueue_deferred(rule, Arc::clone(occ), true)
-                            }
-                            mode => self.spawn_detached_inner(rule, Arc::clone(occ), mode, true),
-                        }
-                    } else {
-                        to_run.push(rule);
-                    }
-                }
+        for rule in immediate {
+            match self.immediate_condition(rule, parent, occ) {
+                Ok(true) => match rule.action_coupling {
+                    // Split C-A coupling: schedule the action later.
+                    Some(ac) => self.schedule_action(rule, occ, ac),
+                    None => to_run.push(Arc::clone(rule)),
+                },
                 Ok(false) => {}
                 Err(_) => {
                     self.abort_trigger(parent);
@@ -696,54 +692,46 @@ impl Engine {
         }
     }
 
-    // ---- deferred ----
-
-    fn schedule_deferred(self: &Arc<Self>, rule: Arc<Rule>, occ: Arc<EventOccurrence>) {
-        self.enqueue_deferred(rule, occ, false);
+    /// Schedule the action of a split C-A rule whose condition held,
+    /// under its action coupling `mode`.
+    fn schedule_action(
+        self: &Arc<Self>,
+        rule: &Arc<Rule>,
+        occ: &Arc<EventOccurrence>,
+        mode: CouplingMode,
+    ) {
+        match mode {
+            CouplingMode::Deferred => self.enqueue_deferred(occ, [Arc::clone(rule)], true),
+            mode => self.spawn_detached(Arc::clone(rule), Arc::clone(occ), mode, true),
+        }
     }
 
+    // ---- deferred ----
+
+    /// Queue `rules` fired by `occ` for the pre-commit drain of its
+    /// top-level transaction, under one lock pass. The drain sorts by
+    /// (priority, simple-first, rule age) and the sort is stable, so
+    /// only the order of entries of one rule depends on enqueue order,
+    /// and that is event order.
     fn enqueue_deferred(
         self: &Arc<Self>,
-        rule: Arc<Rule>,
-        occ: Arc<EventOccurrence>,
+        occ: &Arc<EventOccurrence>,
+        rules: impl IntoIterator<Item = Arc<Rule>>,
         action_only: bool,
     ) {
+        let mut rules = rules.into_iter().peekable();
+        if rules.peek().is_none() {
+            return;
+        }
         let Some(top) = occ.top_txn else {
-            self.metrics.engine.failures.inc();
+            self.metrics.engine.failures.add(rules.count() as u64);
             return;
         };
         self.deferred
             .lock()
             .entry(top)
             .or_default()
-            .push((rule, occ, action_only));
-        let mut hooked = self.hooked.lock();
-        if hooked.insert(top) {
-            let engine = Arc::clone(self);
-            let res = self
-                .db
-                .txn_manager()
-                .defer(top, Box::new(move || engine.drain_deferred(top)));
-            if res.is_err() {
-                hooked.remove(&top);
-                self.deferred.lock().remove(&top);
-                self.metrics.engine.failures.inc();
-            }
-        }
-    }
-
-    /// Enqueue a whole batch of deferred firings for one top-level
-    /// transaction under a single lock pass. The pre-commit drain
-    /// sorts by (priority, simple-first, rule age), which orders
-    /// entries of *different* rules deterministically regardless of
-    /// enqueue order, and the sort is stable, so entries of the same
-    /// rule keep their event order — batching the enqueue leaves the
-    /// drain order identical to per-event scheduling.
-    fn enqueue_deferred_batch(self: &Arc<Self>, top: TxnId, entries: Vec<Pending>) {
-        if entries.is_empty() {
-            return;
-        }
-        self.deferred.lock().entry(top).or_default().extend(entries);
+            .extend(rules.map(|rule| (rule, Arc::clone(occ), action_only)));
         let mut hooked = self.hooked.lock();
         if hooked.insert(top) {
             let engine = Arc::clone(self);
@@ -857,15 +845,6 @@ impl Engine {
     }
 
     fn spawn_detached(
-        self: &Arc<Self>,
-        rule: Arc<Rule>,
-        occ: Arc<EventOccurrence>,
-        mode: CouplingMode,
-    ) {
-        self.spawn_detached_inner(rule, occ, mode, false)
-    }
-
-    fn spawn_detached_inner(
         self: &Arc<Self>,
         rule: Arc<Rule>,
         occ: Arc<EventOccurrence>,
@@ -1074,76 +1053,23 @@ impl Engine {
 }
 
 impl Engine {
-    /// Dispatch a set of rules fired by one event: immediate rules run
-    /// as one batch (serial ring-sequence or parallel siblings), the
-    /// rest are scheduled by coupling mode.
-    pub fn fire_all(self: &Arc<Self>, mut rules: Vec<Arc<Rule>>, occ: Arc<EventOccurrence>) {
+    /// Dispatch the rules fired by each occurrence of `occs` (one event
+    /// is a slice of one). The rule set is ordered once; then, per
+    /// occurrence in event order, deferred rules are queued, detached
+    /// rules spawned, and the immediate rules run as one batch (serial
+    /// ring-sequence or parallel siblings).
+    pub fn fire(self: &Arc<Self>, mut rules: Vec<Arc<Rule>>, occs: &[Arc<EventOccurrence>]) {
         let t0 = self.metrics.span_start();
         self.order(&mut rules);
-        let mut immediate = Vec::new();
-        for rule in rules {
-            match rule.coupling {
-                CouplingMode::Immediate => immediate.push(rule),
-                CouplingMode::Deferred => self.schedule_deferred(rule, Arc::clone(&occ)),
-                mode => self.spawn_detached(rule, Arc::clone(&occ), mode),
-            }
-        }
-        if !immediate.is_empty() {
-            self.fire_immediate(immediate, &occ);
-        }
-        if let Some(t0) = t0 {
-            self.metrics
-                .record_span(Stage::Engine, t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Batched [`Engine::fire_all`]: order the rule set once, then
-    /// schedule and fire per occurrence in event order. Each
-    /// occurrence still sees the exact per-event sequence — deferred/
-    /// detached scheduling in priority order, then its immediate batch
-    /// — so firing sequences are identical to per-event dispatch.
-    pub fn fire_batch(self: &Arc<Self>, mut rules: Vec<Arc<Rule>>, occs: &[Arc<EventOccurrence>]) {
-        let t0 = self.metrics.span_start();
-        self.order(&mut rules);
-        let n_immediate = rules
-            .iter()
-            .filter(|r| r.coupling == CouplingMode::Immediate)
-            .count();
-        // Deferred firings for the batch are collected per top-level
-        // transaction run and enqueued in one lock pass (see
-        // `enqueue_deferred_batch` for why the drain order is
-        // unaffected).
-        let mut deferred: Vec<Pending> = Vec::new();
-        let mut deferred_top: Option<TxnId> = None;
         for occ in occs {
-            let mut immediate = Vec::with_capacity(n_immediate);
-            for rule in &rules {
-                match rule.coupling {
-                    CouplingMode::Immediate => immediate.push(Arc::clone(rule)),
-                    CouplingMode::Deferred => match occ.top_txn {
-                        Some(top) => {
-                            if deferred_top != Some(top) {
-                                if let Some(prev) = deferred_top {
-                                    self.enqueue_deferred_batch(
-                                        prev,
-                                        std::mem::take(&mut deferred),
-                                    );
-                                }
-                                deferred_top = Some(top);
-                            }
-                            deferred.push((Arc::clone(rule), Arc::clone(occ), false));
-                        }
-                        None => self.metrics.engine.failures.inc(),
-                    },
-                    mode => self.spawn_detached(Arc::clone(rule), Arc::clone(occ), mode),
-                }
+            let deferred = rules
+                .iter()
+                .filter(|r| r.coupling == CouplingMode::Deferred);
+            self.enqueue_deferred(occ, deferred.cloned(), false);
+            for rule in rules.iter().filter(|r| r.coupling.is_detached()) {
+                self.spawn_detached(Arc::clone(rule), Arc::clone(occ), rule.coupling, false);
             }
-            if !immediate.is_empty() {
-                self.fire_immediate(immediate, occ);
-            }
-        }
-        if let Some(top) = deferred_top {
-            self.enqueue_deferred_batch(top, deferred);
+            self.fire_immediate(&rules, occ);
         }
         if let Some(t0) = t0 {
             self.metrics
@@ -1156,11 +1082,7 @@ impl Engine {
 pub struct EngineHandler(pub Arc<Engine>);
 
 impl FireHandler for EngineHandler {
-    fn fire(&self, rules: Vec<Arc<Rule>>, occ: Arc<EventOccurrence>) {
-        self.0.fire_all(rules, occ);
-    }
-
-    fn fire_batch(&self, rules: Vec<Arc<Rule>>, occs: &[Arc<EventOccurrence>]) {
-        self.0.fire_batch(rules, occs);
+    fn fire(&self, rules: Vec<Arc<Rule>>, occs: &[Arc<EventOccurrence>]) {
+        self.0.fire(rules, occs);
     }
 }

@@ -669,34 +669,61 @@ impl std::fmt::Debug for ReachSystem {
 struct MethodBridge(Arc<ReachSystem>);
 
 impl MethodBridge {
-    fn raise(&self, call: &MethodCall, phase: MethodPhase) {
+    /// Raise the `phase` method events of `calls` in one router pass,
+    /// resolving txn→top once per run of calls of one transaction and
+    /// reading the clock once. (Under the virtual clock every call of a
+    /// batch gets the reading a call-by-call raise would give it, since
+    /// the clock only moves on explicit ticks.)
+    ///
+    /// This bridge *is* the integrated in-line wrapper sentry: the
+    /// dispatcher only calls it for monitored methods, so every
+    /// traversal is useful work.
+    fn raise<'a>(&self, calls: impl ExactSizeIterator<Item = &'a MethodCall>, phase: MethodPhase) {
         let sys = &self.0;
-        let (txn, top) = if call.txn.is_null() {
-            return; // events outside transactions are not observable
-        } else {
-            match sys.db.txn_manager().top_of(call.txn) {
-                Ok(top) => (call.txn, top),
-                Err(_) => return,
-            }
-        };
-        // This bridge *is* the integrated in-line wrapper sentry: the
-        // dispatcher only calls it for monitored methods, so every
-        // traversal is useful work.
         let t0 = sys.db.metrics().span_start();
-        sys.router.raise_method(
-            txn,
-            top,
-            sys.db.clock().now(),
-            call.receiver,
-            call.class,
-            call.method,
-            phase,
-            &call.args,
-        );
+        let at = sys.db.clock().now();
+        let mut last: Option<(TxnId, TxnId)> = None;
+        let observe = |call: &'a MethodCall| {
+            if call.txn.is_null() {
+                return None; // events outside transactions are not observable
+            }
+            let top = match last {
+                Some((txn, top)) if txn == call.txn => top,
+                _ => {
+                    let top = sys.db.txn_manager().top_of(call.txn).ok()?;
+                    last = Some((call.txn, top));
+                    top
+                }
+            };
+            Some(crate::eca::MethodObservation {
+                txn: call.txn,
+                top,
+                at,
+                receiver: call.receiver,
+                class: call.class,
+                method: call.method,
+                phase,
+                args: &call.args,
+            })
+        };
+        // A single call is observed without a heap allocation.
+        let one;
+        let many: Vec<_>;
+        let observed = if calls.len() == 1 {
+            one = calls.into_iter().next().and_then(observe);
+            one.as_slice()
+        } else {
+            many = calls.filter_map(observe).collect();
+            &many[..]
+        };
+        if observed.is_empty() {
+            return;
+        }
+        sys.router.raise_method(observed);
         if let Some(t0) = t0 {
             let m = sys.db.metrics();
-            m.sentry.inline_invocations.inc();
-            m.sentry.inline_detections.inc();
+            m.sentry.inline_invocations.add(observed.len() as u64);
+            m.sentry.inline_detections.add(observed.len() as u64);
             m.record_span(Stage::Sentry, t0.elapsed().as_nanos() as u64);
         }
     }
@@ -710,7 +737,7 @@ impl MethodSentry for MethodBridge {
         if !self.0.router.observes_method_phase(MethodPhase::Before) {
             return Ok(());
         }
-        self.raise(call, MethodPhase::Before);
+        self.raise(std::iter::once(call), MethodPhase::Before);
         // An immediate rule may have aborted the triggering transaction
         // (consistency veto): refuse to run the method body then.
         if !call.txn.is_null() && !self.0.db.txn_manager().is_active(call.txn) {
@@ -719,59 +746,9 @@ impl MethodSentry for MethodBridge {
         Ok(())
     }
 
-    fn after(&self, call: &MethodCall, _result: &Result<Value>) {
-        if !self.0.router.observes_method_phase(MethodPhase::After) {
-            return;
-        }
-        self.raise(call, MethodPhase::After);
-    }
-
-    /// Batched after-detection: translate the whole batch into router
-    /// observations and raise them in one pass, amortizing the
-    /// txn→top resolution, the clock read and the metrics stamps.
-    /// (All calls get the batch-end clock reading as their time point;
-    /// under the virtual clock that is exactly what per-call raising
-    /// yields too, since the clock only moves on explicit ticks.)
-    fn after_batch(&self, calls: &[(MethodCall, Result<Value>)]) {
-        let sys = &self.0;
-        if !sys.router.observes_method_phase(MethodPhase::After) {
-            return;
-        }
-        let t0 = sys.db.metrics().span_start();
-        let now = sys.db.clock().now();
-        let mut last: Option<(TxnId, TxnId)> = None;
-        let mut obs = Vec::with_capacity(calls.len());
-        for (call, _result) in calls {
-            if call.txn.is_null() {
-                continue; // events outside transactions are not observable
-            }
-            let top = match last {
-                Some((txn, top)) if txn == call.txn => top,
-                _ => match sys.db.txn_manager().top_of(call.txn) {
-                    Ok(top) => {
-                        last = Some((call.txn, top));
-                        top
-                    }
-                    Err(_) => continue,
-                },
-            };
-            obs.push(crate::eca::MethodObservation {
-                txn: call.txn,
-                top,
-                at: now,
-                receiver: call.receiver,
-                class: call.class,
-                method: call.method,
-                phase: MethodPhase::After,
-                args: &call.args,
-            });
-        }
-        sys.router.raise_method_batch(&obs);
-        if let Some(t0) = t0 {
-            let m = sys.db.metrics();
-            m.sentry.inline_invocations.add(obs.len() as u64);
-            m.sentry.inline_detections.add(obs.len() as u64);
-            m.record_span(Stage::Sentry, t0.elapsed().as_nanos() as u64);
+    fn after(&self, calls: &[(MethodCall, Result<Value>)]) {
+        if self.0.router.observes_method_phase(MethodPhase::After) {
+            self.raise(calls.iter().map(|(call, _)| call), MethodPhase::After);
         }
     }
 }

@@ -1,13 +1,18 @@
 //! The dispatcher — where the sentry lives.
 //!
-//! Every method invocation flows through [`Dispatcher::invoke`]:
+//! Every method invocation flows through [`Dispatcher::invoke`] or
+//! [`Dispatcher::invoke_batch`]; both run one loop over a slice of
+//! calls (a single invocation is a slice of one):
 //!
 //! 1. resolve the method through the receiver class's vtable (virtual
 //!    dispatch);
 //! 2. if the (class, method) pair is *monitored*, run the `Before`
-//!    sentry chain — this raises the `before m()` primitive event;
+//!    sentry chain — this raises the `before m()` primitive event and
+//!    can veto the call;
 //! 3. execute the body;
-//! 4. if monitored, run the `After` chain with the result — `after m()`.
+//! 4. once the slice has run (or stopped at its first error), hand every
+//!    monitored call and its result to the `After` chain in call order —
+//!    `after m()`.
 //!
 //! This is the in-line-wrapper design of §6.2 translated to a runtime
 //! dispatcher: *unmonitored* invocations pay one relaxed atomic load
@@ -17,7 +22,7 @@
 //! events may be of interest" — types are never declared differently to
 //! become monitorable.
 
-use crate::method::{MethodCtx, MethodRegistry};
+use crate::method::{MethodBody, MethodCtx, MethodRegistry};
 use crate::schema::Schema;
 use crate::space::ObjectSpace;
 use crate::value::{Args, Value};
@@ -54,26 +59,30 @@ pub trait MethodSentry: Send + Sync {
     /// Called before the body runs. Returning an error vetoes the call —
     /// used by immediate-coupled rules that abort the transaction.
     fn before(&self, call: &MethodCall) -> Result<()>;
-    /// Called after the body returns.
-    fn after(&self, call: &MethodCall, result: &Result<Value>);
+    /// Called once per invocation slice with every monitored call that
+    /// ran and its result, in invocation order: one call for
+    /// [`Dispatcher::invoke`], the whole batch for
+    /// [`Dispatcher::invoke_batch`].
+    fn after(&self, calls: &[(MethodCall, Result<Value>)]);
+}
 
-    /// Called once at the end of a batched invocation with every
-    /// monitored call of the batch and its result, in invocation
-    /// order. The default falls back to per-call
-    /// [`MethodSentry::after`]; event detectors override it to
-    /// amortize per-event dispatch over the whole batch.
-    fn after_batch(&self, calls: &[(MethodCall, Result<Value>)]) {
-        for (call, result) in calls {
-            self.after(call, result);
-        }
-    }
+/// A method resolved for one receiver class: the per-call work that a
+/// run of calls sharing (class, method name) does only once.
+struct Resolved {
+    name: Arc<str>,
+    class: ClassId,
+    method: MethodId,
+    body: MethodBody,
+    monitored: bool,
 }
 
 /// Virtual-dispatch engine with the sentry interception point.
 pub struct Dispatcher {
     schema: Arc<Schema>,
     methods: Arc<MethodRegistry>,
-    sentries: RwLock<Vec<Arc<dyn MethodSentry>>>,
+    /// The sentry chain, replaced whole by `add_sentry` so that a call
+    /// takes a snapshot with one reference-count increment.
+    sentries: RwLock<Arc<[Arc<dyn MethodSentry>]>>,
     /// (class, method) pairs currently monitored.
     monitored: RwLock<HashSet<(ClassId, MethodId)>>,
     /// Fast-path gate: number of monitored pairs. When zero, invoke()
@@ -87,7 +96,7 @@ impl Dispatcher {
         Dispatcher {
             schema,
             methods,
-            sentries: RwLock::new(Vec::new()),
+            sentries: RwLock::new(Arc::new([])),
             monitored: RwLock::new(HashSet::new()),
             monitor_count: AtomicUsize::new(0),
             seq: AtomicU64::new(1),
@@ -105,7 +114,8 @@ impl Dispatcher {
     /// Install a sentry (the REACH primitive-event detector registers
     /// itself here).
     pub fn add_sentry(&self, s: Arc<dyn MethodSentry>) {
-        self.sentries.write().push(s);
+        let mut sentries = self.sentries.write();
+        *sentries = sentries.iter().cloned().chain([s]).collect();
     }
 
     /// Start monitoring invocations of `method` on `class` (and, through
@@ -143,7 +153,7 @@ impl Dispatcher {
         let method = self.schema.resolve_method(class, method_name)?;
         let body = self.methods.body(method)?;
 
-        // Fast path: nothing monitored anywhere — no sentry bookkeeping.
+        // Fast path: the pair is not monitored — no sentry bookkeeping.
         if self.monitor_count.load(Ordering::Acquire) == 0 || !self.monitor_hit(class, method) {
             let ctx = MethodCtx {
                 space,
@@ -155,33 +165,23 @@ impl Dispatcher {
             return body(&ctx);
         }
 
-        // Monitored path: materialize the call record once and run the
-        // before/after chains around the body.
-        let call = MethodCall {
-            txn,
-            receiver,
+        // Monitored: a batch of one call, already resolved.
+        let first = Resolved {
+            name: Arc::from(method_name),
             class,
             method,
-            method_name: Arc::from(method_name),
-            args: Args::copy_from(args),
-            seq: Timestamp::new(self.seq.fetch_add(1, Ordering::Relaxed)),
+            body,
+            monitored: true,
         };
-        let sentries = self.sentries.read().clone();
-        for s in &sentries {
-            s.before(&call)?;
-        }
-        let ctx = MethodCtx {
+        let mut result = Value::Null;
+        self.run(
             space,
-            dispatcher: self,
             txn,
-            self_oid: receiver,
-            args,
-        };
-        let result = body(&ctx);
-        for s in &sentries {
-            s.after(&call, &result);
-        }
-        result
+            std::slice::from_ref(&(receiver, method_name, args)),
+            Some(first),
+            |v| result = v,
+        )?;
+        Ok(result)
     }
 
     /// Invoke a batch of calls within `txn`, raising the monitored
@@ -193,8 +193,8 @@ impl Dispatcher {
     /// phase: the after-event of call *i* is observed only after every
     /// body of the batch has run (or the batch stopped at an error).
     /// The first error ends the batch; after-events of the calls that
-    /// already ran — including the failing one, matching the per-call
-    /// path where `after` sees the `Err` result — are still raised.
+    /// already ran — including the failing one, whose `Err` result the
+    /// after-sentries see — are still raised.
     pub fn invoke_batch(
         &self,
         space: &ObjectSpace,
@@ -202,20 +202,29 @@ impl Dispatcher {
         calls: &[(ObjectId, &str, &[Value])],
     ) -> Result<Vec<Value>> {
         let mut results = Vec::with_capacity(calls.len());
-        let mut pending: Vec<(MethodCall, Result<Value>)> = Vec::new();
-        let mut sentries: Option<Vec<Arc<dyn MethodSentry>>> = None;
+        self.run(space, txn, calls, None, |v| results.push(v))?;
+        Ok(results)
+    }
+
+    /// The one invocation loop: run `calls` in order, handing each
+    /// successful result to `emit`, then raise the after-phase of every
+    /// monitored call that ran. `first`, when given, is the caller's
+    /// resolution of `calls[0]`.
+    fn run(
+        &self,
+        space: &ObjectSpace,
+        txn: TxnId,
+        calls: &[(ObjectId, &str, &[Value])],
+        first: Option<Resolved>,
+        mut emit: impl FnMut(Value),
+    ) -> Result<()> {
+        // Monitored calls that ran; a single call needs no heap.
+        let mut one: Option<(MethodCall, Result<Value>)> = None;
+        let mut many: Vec<(MethodCall, Result<Value>)> = Vec::new();
+        let mut sentries: Option<Arc<[Arc<dyn MethodSentry>]>> = None;
         let mut failure: Option<reach_common::ReachError> = None;
-        // Resolution cache for a run of calls sharing (class, method
-        // name) — the common batch shape is one method over receivers
-        // of one class, where vtable resolution, body lookup, the
-        // monitor test and the name Arc are all per-call repeats of
-        // the same answer. A monitor()/unmonitor() racing the batch
-        // may be observed only from the next resolution run, exactly
-        // as a racing per-call loop may observe it only from some call
-        // onward.
-        let mut resolved: Option<(Arc<str>, ClassId, MethodId, crate::method::MethodBody, bool)> =
-            None;
-        'calls: for &(receiver, method_name, args) in calls {
+        let mut resolved = first;
+        'calls: for (i, &(receiver, method_name, args)) in calls.iter().enumerate() {
             macro_rules! try_or_break {
                 ($e:expr) => {
                     match $e {
@@ -227,48 +236,19 @@ impl Dispatcher {
                     }
                 };
             }
-            let class = try_or_break!(space.class_of(receiver));
-            let (name, method, body, hit) = match &resolved {
-                Some((n, c, m, b, h)) if *c == class && &**n == method_name => {
-                    (Arc::clone(n), *m, Arc::clone(b), *h)
-                }
-                _ => {
-                    let method = try_or_break!(self.schema.resolve_method(class, method_name));
-                    let body = try_or_break!(self.methods.body(method));
-                    let hit = self.monitor_count.load(Ordering::Acquire) > 0
-                        && self.monitor_hit(class, method);
-                    let name: Arc<str> = Arc::from(method_name);
-                    resolved = Some((Arc::clone(&name), class, method, Arc::clone(&body), hit));
-                    (name, method, body, hit)
-                }
-            };
-            if !hit {
-                let ctx = MethodCtx {
-                    space,
-                    dispatcher: self,
-                    txn,
-                    self_oid: receiver,
-                    args,
-                };
-                results.push(try_or_break!(body(&ctx)));
-                continue;
-            }
-            let call = MethodCall {
-                txn,
-                receiver,
-                class,
-                method,
-                method_name: name,
-                args: Args::copy_from(args),
-                seq: Timestamp::new(self.seq.fetch_add(1, Ordering::Relaxed)),
-            };
-            let chain = sentries.get_or_insert_with(|| self.sentries.read().clone());
-            for s in chain.iter() {
-                if let Err(e) = s.before(&call) {
-                    failure = Some(e);
-                    break 'calls;
+            // The common batch shape is one method over receivers of one
+            // class, where vtable resolution, body lookup, the monitor
+            // test and the name Arc are all repeats of the same answer.
+            // A monitor()/unmonitor() racing the batch may be observed
+            // only from the next resolution, exactly as a racing loop of
+            // single calls may observe it only from some call onward.
+            if i > 0 || resolved.is_none() {
+                let class = try_or_break!(space.class_of(receiver));
+                if !matches!(&resolved, Some(r) if r.class == class && *r.name == *method_name) {
+                    resolved = Some(try_or_break!(self.resolve(class, method_name)));
                 }
             }
+            let r = resolved.as_ref().expect("resolved above");
             let ctx = MethodCtx {
                 space,
                 dispatcher: self,
@@ -276,27 +256,60 @@ impl Dispatcher {
                 self_oid: receiver,
                 args,
             };
-            let result = body(&ctx);
+            if !r.monitored {
+                emit(try_or_break!((r.body)(&ctx)));
+                continue;
+            }
+            let call = MethodCall {
+                txn,
+                receiver,
+                class: r.class,
+                method: r.method,
+                method_name: Arc::clone(&r.name),
+                args: Args::copy_from(args),
+                seq: Timestamp::new(self.seq.fetch_add(1, Ordering::Relaxed)),
+            };
+            let chain = sentries.get_or_insert_with(|| Arc::clone(&self.sentries.read()));
+            for s in chain.iter() {
+                try_or_break!(s.before(&call));
+            }
+            let result = (r.body)(&ctx);
             match &result {
-                Ok(v) => results.push(v.clone()),
+                Ok(v) => emit(v.clone()),
                 Err(e) => failure = Some(e.clone()),
             }
-            let stop = failure.is_some();
-            pending.push((call, result));
-            if stop {
+            if calls.len() == 1 {
+                one = Some((call, result));
+            } else {
+                many.push((call, result));
+            }
+            if failure.is_some() {
                 break;
             }
         }
-        if !pending.is_empty() {
-            let chain = sentries.unwrap_or_else(|| self.sentries.read().clone());
-            for s in &chain {
-                s.after_batch(&pending);
+        let pending = if calls.len() == 1 {
+            one.as_slice()
+        } else {
+            &many[..]
+        };
+        if let Some(chain) = sentries.filter(|_| !pending.is_empty()) {
+            for s in chain.iter() {
+                s.after(pending);
             }
         }
-        match failure {
-            None => Ok(results),
-            Some(e) => Err(e),
-        }
+        failure.map_or(Ok(()), Err)
+    }
+
+    fn resolve(&self, class: ClassId, method_name: &str) -> Result<Resolved> {
+        let method = self.schema.resolve_method(class, method_name)?;
+        Ok(Resolved {
+            name: Arc::from(method_name),
+            class,
+            method,
+            body: self.methods.body(method)?,
+            monitored: self.monitor_count.load(Ordering::Acquire) > 0
+                && self.monitor_hit(class, method),
+        })
     }
 
     /// Monitoring test that honours inheritance: the pair is monitored if
@@ -349,10 +362,11 @@ mod tests {
                 .push((SentryPhase::Before, call.method_name.to_string()));
             Ok(())
         }
-        fn after(&self, call: &MethodCall, _result: &Result<Value>) {
-            self.calls
-                .lock()
-                .push((SentryPhase::After, call.method_name.to_string()));
+        fn after(&self, calls: &[(MethodCall, Result<Value>)]) {
+            let mut log = self.calls.lock();
+            for (call, _) in calls {
+                log.push((SentryPhase::After, call.method_name.to_string()));
+            }
         }
     }
 
@@ -491,7 +505,7 @@ mod tests {
             fn before(&self, _c: &MethodCall) -> Result<()> {
                 Err(reach_common::ReachError::RuleEvaluation("vetoed".into()))
             }
-            fn after(&self, _c: &MethodCall, _r: &Result<Value>) {}
+            fn after(&self, _calls: &[(MethodCall, Result<Value>)]) {}
         }
         disp.add_sentry(Arc::new(Veto));
         disp.monitor(class, m);

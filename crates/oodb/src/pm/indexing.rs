@@ -209,13 +209,15 @@ impl IndexingPm {
         indexes.len() != before
     }
 
-    /// Whether a usable index exists for `class.attribute` (an index on
-    /// the class itself or any ancestor covers the lookup).
+    /// Whether a usable index exists for `class.attribute`. Only an
+    /// index declared on `class` itself qualifies: it covers the class's
+    /// deep extent exactly, whereas an ancestor's index also holds
+    /// instances of sibling classes, so a subclass query scans instead.
     pub fn has_index(&self, class: ClassId, attribute: &str) -> bool {
-        let indexes = self.indexes.read();
-        indexes
+        self.indexes
+            .read()
             .iter()
-            .any(|i| i.attribute == attribute && self.schema.is_subclass(class, i.class))
+            .any(|i| i.class == class && i.attribute == attribute)
     }
 
     /// Exact-match lookup (served from the shadow — no I/O).
@@ -228,7 +230,7 @@ impl IndexingPm {
         let indexes = self.indexes.read();
         let idx = indexes
             .iter()
-            .find(|i| i.attribute == attribute && self.schema.is_subclass(class, i.class))?;
+            .find(|i| i.class == class && i.attribute == attribute)?;
         let m = self.sm.metrics();
         if m.on() {
             m.index.lookups.inc();
@@ -252,7 +254,7 @@ impl IndexingPm {
         let indexes = self.indexes.read();
         let idx = indexes
             .iter()
-            .find(|i| i.attribute == attribute && self.schema.is_subclass(class, i.class))?;
+            .find(|i| i.class == class && i.attribute == attribute)?;
         let m = self.sm.metrics();
         if m.on() {
             m.index.range_scans.inc();

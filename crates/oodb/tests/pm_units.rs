@@ -204,3 +204,35 @@ fn subclass_instances_answer_base_class_queries_via_base_index() {
     assert_eq!(hits, vec![c]);
     db.commit(t).unwrap();
 }
+
+#[test]
+fn subclass_query_does_not_answer_from_base_class_index() {
+    let db = Database::in_memory().unwrap();
+    let base = db
+        .define_class("Shape")
+        .attr("area", ValueType::Int, Value::Int(0))
+        .define()
+        .unwrap();
+    let circle = db.define_class("Circle").base(base).define().unwrap();
+    db.create_index(base, "area").unwrap();
+    let t = db.begin().unwrap();
+    let c = db
+        .create_with(t, circle, &[("area", Value::Int(10))])
+        .unwrap();
+    db.create_with(t, base, &[("area", Value::Int(20))])
+        .unwrap();
+    db.commit(t).unwrap();
+    let t = db.begin().unwrap();
+    // The Shape index also holds the plain Shape: a Circle query must
+    // not be answered from it.
+    let (hits, plan) = db
+        .query_with_plan(t, "select c from Circle c where c.area >= 10")
+        .unwrap();
+    assert_eq!(hits, vec![c]);
+    assert!(!matches!(plan, Plan::IndexRange { .. }), "{plan:?}");
+    let hits = db
+        .query(t, "select c from Circle c where c.area = 20")
+        .unwrap();
+    assert!(hits.is_empty(), "{hits:?}");
+    db.commit(t).unwrap();
+}

@@ -55,51 +55,35 @@ if [[ "$STRESS" == 1 ]]; then
   timeout "$EXP_TIMEOUT" cargo run --release -p reach-bench --features sched --bin exp_stress -- --smoke
 fi
 
+# bench_gate NAME FILE GATE_KEY VALUE_KEY UNIT BIN: run the --smoke of
+# experiment BIN and fail if the VALUE_KEY it writes to FILE lands below
+# 90% of the committed GATE_KEY. The gate is read BEFORE the run, because
+# the experiment rewrites FILE.
+bench_gate() {
+  local name=$1 file=$2 gate_key=$3 value_key=$4 unit=$5 bin=$6
+  echo "== tier-1: ${name} gate (>10% regression vs committed gate fails) =="
+  local gate fresh floor
+  gate=$(sed -n "s/^  \"${gate_key}\": \([0-9]*\).*/\1/p" "$file")
+  if [[ -z "$gate" ]]; then
+    echo "${file} missing or has no ${gate_key}" >&2; exit 1
+  fi
+  timeout "$EXP_TIMEOUT" cargo run --release -p reach-bench --bin "$bin" -- --smoke
+  fresh=$(sed -n "s/^  \"${value_key}\": \([0-9]*\).*/\1/p" "$file")
+  floor=$((gate * 9 / 10))
+  echo "   measured ${fresh} ${unit}, gate ${gate} (floor ${floor})"
+  if (( fresh < floor )); then
+    echo "${name} regression: ${fresh} ${unit} < ${floor} (90% of gate ${gate})" >&2
+    exit 1
+  fi
+}
+
 if [[ "$BENCH_CHECK" == 1 ]]; then
-  echo "== tier-1: E13 throughput gate (>10% regression vs committed gate fails) =="
-  # Read the gate BEFORE the run: exp_throughput rewrites BENCH_E13.json.
-  gate=$(sed -n 's/^  "gate_events_per_s": \([0-9]*\).*/\1/p' BENCH_E13.json)
-  if [[ -z "$gate" ]]; then
-    echo "BENCH_E13.json missing or has no gate_events_per_s" >&2; exit 1
-  fi
-  timeout "$EXP_TIMEOUT" cargo run --release -p reach-bench --bin exp_throughput -- --smoke
-  fresh=$(sed -n 's/^  "events_per_s": \([0-9]*\).*/\1/p' BENCH_E13.json)
-  floor=$((gate * 9 / 10))
-  echo "   measured ${fresh} events/s, gate ${gate} (floor ${floor})"
-  if (( fresh < floor )); then
-    echo "E13 throughput regression: ${fresh} events/s < ${floor} (90% of gate ${gate})" >&2
-    exit 1
-  fi
-
-  echo "== tier-1: E21 index-lookup gate (>10% regression vs committed gate fails) =="
-  # Same protocol as E13: read the gate BEFORE exp_index rewrites the file.
-  gate=$(sed -n 's/^  "gate_lookups_per_s": \([0-9]*\).*/\1/p' BENCH_E21.json)
-  if [[ -z "$gate" ]]; then
-    echo "BENCH_E21.json missing or has no gate_lookups_per_s" >&2; exit 1
-  fi
-  timeout "$EXP_TIMEOUT" cargo run --release -p reach-bench --bin exp_index -- --smoke
-  fresh=$(sed -n 's/^  "lookups_per_s": \([0-9]*\).*/\1/p' BENCH_E21.json)
-  floor=$((gate * 9 / 10))
-  echo "   measured ${fresh} lookups/s, gate ${gate} (floor ${floor})"
-  if (( fresh < floor )); then
-    echo "E21 index-lookup regression: ${fresh} lookups/s < ${floor} (90% of gate ${gate})" >&2
-    exit 1
-  fi
-
-  echo "== tier-1: E22 distributed-commit gate (>10% regression vs committed gate fails) =="
-  # Same protocol again: read the gate BEFORE exp_dist rewrites the file.
-  gate=$(sed -n 's/^  "gate_commits_per_s": \([0-9]*\).*/\1/p' BENCH_E22.json)
-  if [[ -z "$gate" ]]; then
-    echo "BENCH_E22.json missing or has no gate_commits_per_s" >&2; exit 1
-  fi
-  timeout "$EXP_TIMEOUT" cargo run --release -p reach-bench --bin exp_dist -- --smoke
-  fresh=$(sed -n 's/^  "commits_per_s": \([0-9]*\).*/\1/p' BENCH_E22.json)
-  floor=$((gate * 9 / 10))
-  echo "   measured ${fresh} cross-shard commits/s, gate ${gate} (floor ${floor})"
-  if (( fresh < floor )); then
-    echo "E22 distributed-commit regression: ${fresh} commits/s < ${floor} (90% of gate ${gate})" >&2
-    exit 1
-  fi
+  bench_gate "E13 throughput" BENCH_E13.json gate_events_per_s events_per_s \
+    "events/s" exp_throughput
+  bench_gate "E21 index-lookup" BENCH_E21.json gate_lookups_per_s lookups_per_s \
+    "lookups/s" exp_index
+  bench_gate "E22 distributed-commit" BENCH_E22.json gate_commits_per_s commits_per_s \
+    "cross-shard commits/s" exp_dist
 fi
 
 echo "== tier-1: OK =="
