@@ -177,7 +177,7 @@ fn run_once(events: usize, per_event: bool) -> RunResult {
     }
     sys.wait_quiescent();
     let elapsed = start.elapsed();
-    let stats = sys.stats();
+    let stats = sys.metrics().snapshot();
     RunResult {
         elapsed,
         anomalies,

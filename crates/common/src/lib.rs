@@ -28,6 +28,6 @@ pub use ids::{
     shard_of, ClassId, EventTypeId, IdGen, MethodId, ObjectId, PageId, RuleId, Timestamp, TxnId,
 };
 pub use metrics::{Counter, Histogram, HistogramSnapshot};
-pub use obs::{MetricsRegistry, MetricsSnapshot, Span, Stage, StageSnapshot, Trace};
+pub use obs::{MetricsRegistry, MetricsSnapshot, Stage, StageSnapshot};
 pub use priority::Priority;
 pub use rng::{announce_seed, seed_from_env, SplitMix64};

@@ -1,37 +1,45 @@
-//! The observability registry: per-stage firing-path spans, component
-//! counters, and the one switch that turns it all on.
+//! The observability registry: the one record of firing-path stages and
+//! component counters, and the one switch that turns the gated part on.
 //!
 //! The firing path of the paper's Figure 2 — sentry → primitive
 //! ECA-manager → compositor → rule engine → subtransaction → WAL force
-//! — is modelled as six [`Stage`]s. Each stage owns an ungated event
-//! counter mirror, a latency [`Histogram`] and a bounded ring of recent
-//! [`Span`]s. A single [`MetricsRegistry`] is created by the storage
-//! manager (the lowest layer) and threaded *up* through the
-//! transaction manager, the OODB sentries and the REACH core, so every
-//! layer records into the same instance and `exp_torture`,
-//! `exp_observe` and `Reach::metrics_snapshot()` all report from one
-//! source of truth.
+//! — is modelled as six [`Stage`]s, each one latency [`Histogram`]. A
+//! single [`MetricsRegistry`] is created by the storage manager (the
+//! lowest layer) and threaded *up* through the transaction manager, the
+//! OODB sentries and the REACH core, so every layer records into the
+//! same instance. [`MetricsRegistry::snapshot`] is the one read view:
+//! tests, examples, `exp_*` bins and the benchmark all read a
+//! [`MetricsSnapshot`] (render it with [`MetricsSnapshot::render`]).
 //!
 //! **Overhead contract.** The registry is created disabled. Every
 //! gated record path first calls [`MetricsRegistry::on`] — a single
 //! relaxed atomic load plus one branch — and only then touches a clock
 //! or an atomic. That keeps E4's "useless overhead" story intact: an
 //! unmonitored method call through an instrumented-but-disabled system
-//! pays one predictable branch, nothing more. A handful of counters
-//! that pre-date this subsystem (buffer-pool hits/misses, engine rule
-//! stats) remain ungated because existing code reads them without
-//! enabling observability; they are plain relaxed adds and were always
-//! unconditionally on.
+//! pays one predictable branch, nothing more.
+//!
+//! **Gating, per family.** Ungated counters are plain relaxed adds that
+//! are always on, because tests and harnesses read them without enabling
+//! the registry:
+//!
+//! | family                | gated by [`MetricsRegistry::on`]      |
+//! |-----------------------|---------------------------------------|
+//! | stages                | gated                                 |
+//! | [`WalMetrics`]        | gated                                 |
+//! | [`PoolMetrics`]       | ungated                               |
+//! | [`TxnMetrics`]        | gated                                 |
+//! | [`SentryMetrics`]     | gated                                 |
+//! | [`EngineMetrics`]     | ungated                               |
+//! | [`EventMetrics`]      | gated                                 |
+//! | [`RecoveryMetrics`]   | ungated (written once per reboot)     |
+//! | [`CheckpointMetrics`] | ungated                               |
+//! | [`IndexMetrics`]      | gated                                 |
+//! | [`ServerMetrics`]     | ungated                               |
 
 use crate::metrics::{fmt_ns, Counter, Histogram, HistogramSnapshot};
-use crate::sync::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Capacity of each per-stage span ring. Oldest spans are overwritten
-/// once a stage has recorded more than this many.
-pub const SPAN_RING_CAPACITY: usize = 256;
 
 /// The six stages of the firing path (Figure 2, left to right).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,76 +96,6 @@ impl Stage {
     }
 }
 
-/// One recorded traversal of a stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
-    /// Monotonic per-stage sequence number (0-based). Reveals
-    /// truncation: if the ring holds seqs 300..556, spans 0..300 were
-    /// overwritten.
-    pub seq: u64,
-    /// Wall-clock duration of the traversal in nanoseconds.
-    pub dur_ns: u64,
-}
-
-/// Bounded overwrite-oldest span buffer.
-struct SpanRing {
-    next_seq: AtomicU64,
-    slots: Mutex<Vec<Span>>,
-}
-
-impl SpanRing {
-    fn new() -> Self {
-        SpanRing {
-            next_seq: AtomicU64::new(0),
-            slots: Mutex::new(Vec::with_capacity(SPAN_RING_CAPACITY)),
-        }
-    }
-
-    fn push(&self, dur_ns: u64) {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let span = Span { seq, dur_ns };
-        let mut slots = self.slots.lock();
-        if slots.len() < SPAN_RING_CAPACITY {
-            slots.push(span);
-        } else {
-            slots[(seq as usize) % SPAN_RING_CAPACITY] = span;
-        }
-    }
-
-    /// Spans currently retained, oldest first.
-    fn drain_sorted(&self) -> Vec<Span> {
-        let mut out = self.slots.lock().clone();
-        out.sort_by_key(|s| s.seq);
-        out
-    }
-}
-
-/// Per-stage observation state: traversal count, latency histogram and
-/// the recent-span ring.
-pub struct StageObs {
-    /// Total traversals recorded (survives ring truncation).
-    pub count: Counter,
-    /// Latency distribution of traversals.
-    pub latency: Histogram,
-    ring: SpanRing,
-}
-
-impl StageObs {
-    fn new() -> Self {
-        StageObs {
-            count: Counter::new(),
-            latency: Histogram::new(),
-            ring: SpanRing::new(),
-        }
-    }
-
-    fn record(&self, dur_ns: u64) {
-        self.count.inc();
-        self.latency.record(dur_ns);
-        self.ring.push(dur_ns);
-    }
-}
-
 /// Write-ahead-log counters (recorded by `reach-storage`).
 #[derive(Default)]
 pub struct WalMetrics {
@@ -180,8 +118,7 @@ pub struct WalMetrics {
     pub force_piggybacks: Counter,
 }
 
-/// Buffer-pool counters (recorded by `reach-storage`; ungated — these
-/// pre-date the registry and are read by tests without enabling it).
+/// Buffer-pool counters (recorded by `reach-storage`).
 #[derive(Default)]
 pub struct PoolMetrics {
     /// Fetches served from a resident frame.
@@ -249,10 +186,7 @@ pub struct SentryMetrics {
     pub announce_detections: Counter,
 }
 
-/// Rule-engine counters (recorded by `reach-core`). These subsume the
-/// pre-registry `EngineStats` and stay **ungated**: rule accounting is
-/// cheap, always wanted, and asserted by tests that never enable the
-/// registry.
+/// Rule-engine counters (recorded by `reach-core`).
 #[derive(Default)]
 pub struct EngineMetrics {
     /// Rules fired in immediate mode (nested subtransaction inline).
@@ -320,8 +254,7 @@ pub struct RecoveryMetrics {
 }
 
 /// Checkpoint/truncation counters (recorded by `reach-storage`'s
-/// checkpointer; ungated — cheap, always wanted, and read by the
-/// torture harness without enabling the registry).
+/// checkpointer).
 #[derive(Default)]
 pub struct CheckpointMetrics {
     /// Complete Begin/End checkpoint pairs written.
@@ -333,8 +266,7 @@ pub struct CheckpointMetrics {
 }
 
 /// Persistent-index counters (recorded by `reach-storage`'s B+Tree and
-/// index facade; gated like the WAL family — the hot sentry path pays
-/// one branch when metrics are off).
+/// index facade).
 #[derive(Default)]
 pub struct IndexMetrics {
     /// Logical `(key, oid)` insertions applied to a persistent tree.
@@ -355,9 +287,7 @@ pub struct IndexMetrics {
     pub undone: Counter,
 }
 
-/// Network-server counters (recorded by `reach-server`; ungated — the
-/// admission/shed decisions they witness must be observable in tests
-/// and `exp_serve` without enabling the firing-path spans).
+/// Network-server counters (recorded by `reach-server`).
 #[derive(Default)]
 pub struct ServerMetrics {
     /// Sessions admitted (a connection that got a session slot).
@@ -396,32 +326,32 @@ pub struct ServerMetrics {
 /// The shared observability registry.
 ///
 /// One per storage manager; every layer above holds a clone of the same
-/// `Arc`. Created **disabled**: all span/histogram/WAL/txn/sentry
-/// recording is skipped behind [`MetricsRegistry::on`] until
-/// [`MetricsRegistry::enable`] is called. See the module docs for which
-/// counter families are ungated.
+/// `Arc`. Created **disabled**: gated recording is skipped behind
+/// [`MetricsRegistry::on`] until [`MetricsRegistry::enable`] is called.
+/// The module docs list which counter families are gated.
 pub struct MetricsRegistry {
     enabled: AtomicBool,
-    stages: [StageObs; 6],
+    /// Traversal latency of each [`Stage`], in [`Stage::ALL`] order.
+    stages: [Histogram; 6],
     /// WAL counters.
     pub wal: WalMetrics,
-    /// Buffer-pool counters (ungated).
+    /// Buffer-pool counters.
     pub pool: PoolMetrics,
     /// Transaction-manager counters.
     pub txn: TxnMetrics,
     /// Sentry-mechanism counters.
     pub sentry: SentryMetrics,
-    /// Rule-engine counters (ungated).
+    /// Rule-engine counters.
     pub engine: EngineMetrics,
     /// Event-pipeline counters.
     pub events: EventMetrics,
     /// Recovery figures (written once per reboot).
     pub recovery: RecoveryMetrics,
-    /// Checkpoint/truncation counters (ungated).
+    /// Checkpoint/truncation counters.
     pub ckpt: CheckpointMetrics,
     /// Persistent-index counters.
     pub index: IndexMetrics,
-    /// Network-server counters (ungated).
+    /// Network-server counters.
     pub server: ServerMetrics,
 }
 
@@ -436,14 +366,7 @@ impl MetricsRegistry {
     pub fn new() -> Self {
         MetricsRegistry {
             enabled: AtomicBool::new(false),
-            stages: [
-                StageObs::new(),
-                StageObs::new(),
-                StageObs::new(),
-                StageObs::new(),
-                StageObs::new(),
-                StageObs::new(),
-            ],
+            stages: Default::default(),
             wal: WalMetrics::default(),
             pool: PoolMetrics::default(),
             txn: TxnMetrics::default(),
@@ -504,20 +427,15 @@ impl MetricsRegistry {
         self.stages[stage.index()].record(dur_ns);
     }
 
-    /// Read access to one stage's observation state.
-    pub fn stage(&self, stage: Stage) -> &StageObs {
-        &self.stages[stage.index()]
-    }
-
-    /// Copy everything into a plain-data [`MetricsSnapshot`].
+    /// Copy everything into a plain-data [`MetricsSnapshot`] — the one
+    /// read view of the registry.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let stages = Stage::ALL.map(|s| {
-            let obs = self.stage(s);
+        let stages = Stage::ALL.map(|stage| {
+            let latency = self.stages[stage.index()].snapshot();
             StageSnapshot {
-                stage: s,
-                count: obs.count.get(),
-                latency: obs.latency.snapshot(),
-                recent: obs.ring.drain_sorted(),
+                stage,
+                count: latency.count,
+                latency,
             }
         });
         MetricsSnapshot {
@@ -578,6 +496,9 @@ impl MetricsRegistry {
             detached_runs: self.engine.detached_runs.get(),
             actions_executed: self.engine.actions_executed.get(),
             conditions_false: self.engine.conditions_false.get(),
+            skipped_transient: self.engine.skipped_transient.get(),
+            skipped_dependency: self.engine.skipped_dependency.get(),
+            triggering_aborts: self.engine.triggering_aborts.get(),
             failures: self.engine.failures.get(),
             retries: self.engine.retries.get(),
             gave_up: self.engine.gave_up.get(),
@@ -615,12 +536,6 @@ impl MetricsRegistry {
             server_panics: self.server.panics.get(),
         }
     }
-
-    /// Render the snapshot as the human-readable per-stage report used
-    /// by `exp_observe` and the README.
-    pub fn report(&self) -> String {
-        self.snapshot().render()
-    }
 }
 
 /// Plain-data copy of one stage's observations.
@@ -628,13 +543,10 @@ impl MetricsRegistry {
 pub struct StageSnapshot {
     /// Which stage.
     pub stage: Stage,
-    /// Total traversals recorded.
+    /// Total traversals recorded (`latency.count`).
     pub count: u64,
     /// Latency distribution.
     pub latency: HistogramSnapshot,
-    /// Recent spans retained by the ring, oldest first (≤
-    /// [`SPAN_RING_CAPACITY`]).
-    pub recent: Vec<Span>,
 }
 
 /// Plain-data copy of the whole registry at one instant.
@@ -681,6 +593,9 @@ pub struct MetricsSnapshot {
     pub detached_runs: u64,
     pub actions_executed: u64,
     pub conditions_false: u64,
+    pub skipped_transient: u64,
+    pub skipped_dependency: u64,
+    pub triggering_aborts: u64,
     pub failures: u64,
     pub retries: u64,
     pub gave_up: u64,
@@ -792,12 +707,15 @@ impl MetricsSnapshot {
         let _ = writeln!(out, "-- rule engine --");
         let _ = writeln!(
             out,
-            "immediate {}  deferred {}  detached {}  actions {}  cond-false {}  failures {}  retries {}  gave-up {}",
+            "immediate {}  deferred {}  detached {}  actions {}  cond-false {}  skipped_transient {}  skipped_dependency {}  triggering_aborts {}  failures {}  retries {}  gave-up {}",
             self.immediate_runs,
             self.deferred_runs,
             self.detached_runs,
             self.actions_executed,
             self.conditions_false,
+            self.skipped_transient,
+            self.skipped_dependency,
+            self.triggering_aborts,
             self.failures,
             self.retries,
             self.gave_up,
@@ -899,40 +817,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// Trace sink for the Figure 2 message-flow experiment: every hand-off
-/// between detector, managers, compositors and rules is recorded as a
-/// line when enabled. Lives here (not in `reach-core`) so the registry
-/// and the trace share one home; `reach-core` re-exports it.
-#[derive(Default)]
-pub struct Trace {
-    enabled: AtomicBool,
-    lines: Mutex<Vec<String>>,
-}
-
-impl Trace {
-    /// Start recording lines.
-    pub fn enable(&self) {
-        self.enabled.store(true, Ordering::Release);
-    }
-
-    /// Stop recording lines (already-recorded lines are kept).
-    pub fn disable(&self) {
-        self.enabled.store(false, Ordering::Release);
-    }
-
-    /// Record a line; the closure only runs when enabled.
-    pub fn log(&self, line: impl FnOnce() -> String) {
-        if self.enabled.load(Ordering::Acquire) {
-            self.lines.lock().push(line());
-        }
-    }
-
-    /// Take all recorded lines, leaving the sink empty.
-    pub fn take(&self) -> Vec<String> {
-        std::mem::take(&mut self.lines.lock())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -944,7 +828,7 @@ mod tests {
         let t = reg.span_start();
         assert!(t.is_none(), "disabled span_start must not read the clock");
         reg.span_end(Stage::Sentry, t);
-        assert_eq!(reg.stage(Stage::Sentry).count.get(), 0);
+        assert_eq!(reg.snapshot().stages[0].count, 0);
     }
 
     #[test]
@@ -954,38 +838,11 @@ mod tests {
         let t = reg.span_start();
         assert!(t.is_some());
         reg.span_end(Stage::Engine, t);
-        assert_eq!(reg.stage(Stage::Engine).count.get(), 1);
-        assert_eq!(reg.stage(Stage::Engine).latency.count(), 1);
         let snap = reg.snapshot();
         let engine = &snap.stages[3];
         assert_eq!(engine.stage, Stage::Engine);
         assert_eq!(engine.count, 1);
-        assert_eq!(engine.recent.len(), 1);
-        assert_eq!(engine.recent[0].seq, 0);
-    }
-
-    #[test]
-    fn span_ring_truncates_oldest_but_count_survives() {
-        let reg = MetricsRegistry::new();
-        reg.enable();
-        let n = SPAN_RING_CAPACITY as u64 + 100;
-        for i in 0..n {
-            reg.record_span(Stage::Compositor, i);
-        }
-        let snap = reg.snapshot();
-        let comp = &snap.stages[2];
-        assert_eq!(comp.count, n, "total count survives truncation");
-        assert_eq!(comp.recent.len(), SPAN_RING_CAPACITY, "ring is bounded");
-        // The retained spans are exactly the newest SPAN_RING_CAPACITY.
-        let min_seq = comp.recent.iter().map(|s| s.seq).min().unwrap();
-        let max_seq = comp.recent.iter().map(|s| s.seq).max().unwrap();
-        assert_eq!(min_seq, 100, "oldest 100 spans were overwritten");
-        assert_eq!(max_seq, n - 1);
-        // Sorted oldest-first and contiguous.
-        for (i, s) in comp.recent.iter().enumerate() {
-            assert_eq!(s.seq, min_seq + i as u64);
-            assert_eq!(s.dur_ns, s.seq, "payload follows its seq");
-        }
+        assert_eq!(engine.latency.count, 1);
     }
 
     #[test]
@@ -996,11 +853,17 @@ mod tests {
             reg.record_span(s, 1_000);
         }
         reg.engine.immediate_runs.inc();
+        reg.engine.skipped_transient.add(3);
+        reg.engine.skipped_dependency.add(4);
+        reg.engine.triggering_aborts.add(5);
         reg.recovery.salvaged_bytes.set(17);
-        let report = reg.report();
+        let report = reg.snapshot().render();
         for s in Stage::ALL {
             assert!(report.contains(s.name()), "report mentions {}", s.name());
         }
         assert!(report.contains("salvaged bytes 17"));
+        assert!(report.contains("skipped_transient 3"));
+        assert!(report.contains("skipped_dependency 4"));
+        assert!(report.contains("triggering_aborts 5"));
     }
 }

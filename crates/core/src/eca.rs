@@ -48,10 +48,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-// The message-flow trace sink now lives in `reach_common::obs` next to
-// the metrics registry; re-exported so `crate::eca::Trace` keeps working.
-pub use reach_common::Trace;
-
 /// One ECA-manager.
 pub struct EcaManager {
     pub event_type: EventTypeId,
@@ -257,7 +253,6 @@ pub struct Router {
     /// Passive observers of every delivered occurrence (the temporal
     /// manager watches for anchors of relative events here).
     observers: RwLock<Vec<Observer>>,
-    pub trace: Arc<Trace>,
     metrics: Arc<MetricsRegistry>,
 }
 
@@ -299,7 +294,6 @@ impl Router {
             handler: RwLock::new(None),
             composition_gate: RwLock::new(None),
             observers: RwLock::new(Vec::new()),
-            trace: Arc::new(Trace::default()),
             metrics,
         })
     }
@@ -514,7 +508,8 @@ impl Router {
             return;
         }
         let (tx, rx) = bounded::<WorkerMsg>(INBOX_CAP);
-        let router = Arc::clone(self);
+        // Weak: the router owns its workers.
+        let router = Arc::downgrade(self);
         let ty = mgr.event_type;
         let outer_mgr = Arc::clone(mgr);
         let mgr = Arc::clone(mgr);
@@ -523,6 +518,9 @@ impl Router {
             .spawn(move || {
                 IN_WORKER.with(|w| w.set(true));
                 while let Ok(msg) = rx.recv() {
+                    let Some(router) = router.upgrade() else {
+                        break;
+                    };
                     match msg {
                         WorkerMsg::Feed(occ) => router.feed_compositor(&mgr, &occ),
                         WorkerMsg::CloseTxn(txn, fire) => router.close_compositor(&mgr, txn, fire),
@@ -572,12 +570,6 @@ impl Router {
                 // One event type, several calls: deliver the run as one
                 // slice.
                 [ty] if run.len() > 1 => {
-                    self.trace.log(|| {
-                        format!(
-                            "method-event batch x{n} (class {class}, {method}, {phase:?}) \
-                             -> ECA-manager[{ty}]"
-                        )
-                    });
                     let occs: Vec<_> = run.iter().map(|m| occurrence(m, ty)).collect();
                     self.deliver(&occs);
                 }
@@ -586,12 +578,6 @@ impl Router {
                 _ => {
                     for m in run {
                         for &ty in &types {
-                            self.trace.log(|| {
-                                format!(
-                                    "method-event detected (class {class}, {method}, {phase:?}) \
-                                     -> ECA-manager[{ty}]"
-                                )
-                            });
                             self.deliver(std::slice::from_ref(&occurrence(m, ty)));
                         }
                     }
@@ -670,18 +656,13 @@ impl Router {
         new: reach_object::Value,
     ) {
         let types = self.lookup_lineage(&self.state_index, class, |c| (c, attribute.to_string()));
-        for ty in types {
-            self.trace.log(|| {
-                format!("state-change detected ({class}.{attribute}) -> ECA-manager[{ty}]")
-            });
-            self.raise_each(&[ty], at, Some(txn), Some(top), || EventData {
-                receiver: Some(receiver),
-                attribute: Some(attribute.to_string()),
-                old: Some(old.clone()),
-                new: Some(new.clone()),
-                ..Default::default()
-            });
-        }
+        self.raise_each(&types, at, Some(txn), Some(top), || EventData {
+            receiver: Some(receiver),
+            attribute: Some(attribute.to_string()),
+            old: Some(old.clone()),
+            new: Some(new.clone()),
+            ..Default::default()
+        });
     }
 
     /// A constructor/destructor was observed.
@@ -756,8 +737,6 @@ impl Router {
 
     /// A temporal event fired (called by the temporal manager).
     pub fn raise_temporal(self: &Arc<Self>, ty: EventTypeId, at: TimePoint) {
-        self.trace
-            .log(|| format!("temporal event at {at} -> ECA-manager[{ty}]"));
         self.raise_each(&[ty], at, None, None, EventData::default);
     }
 
@@ -795,17 +774,6 @@ impl Router {
         if t0.is_some() {
             self.metrics.events.detected.add(occs.len() as u64);
         }
-        self.trace.log(|| match occs {
-            [occ] => format!(
-                "ECA-manager[{}] creates Event object (seq {})",
-                mgr.name, occ.seq
-            ),
-            _ => format!(
-                "ECA-manager[{}] creates {} Event objects (batch)",
-                mgr.name,
-                occs.len()
-            ),
-        });
         mgr.history.record(occs);
         let rules = mgr.rules();
         let handler = if rules.is_empty() {
@@ -813,18 +781,10 @@ impl Router {
         } else {
             self.handler.read().clone()
         };
-        let fires = || {
-            format!(
-                "ECA-manager[{}] fires {} rule(s), then signals go-ahead",
-                mgr.name,
-                rules.len()
-            )
-        };
         let subscribers = mgr.subscribers();
         if subscribers.is_empty() {
             self.notify_observers(occs);
             if let Some(h) = handler {
-                self.trace.log(fires);
                 h.fire(rules, occs);
             }
         } else {
@@ -836,16 +796,9 @@ impl Router {
             for occ in occs {
                 self.notify_observers(std::slice::from_ref(occ));
                 if let Some(h) = &handler {
-                    self.trace.log(fires);
                     h.fire(rules.clone(), std::slice::from_ref(occ));
                 }
                 for sub_mgr in &sub_mgrs {
-                    self.trace.log(|| {
-                        format!(
-                            "ECA-manager[{}] propagates -> composite ECA-manager[{}]",
-                            mgr.name, sub_mgr.name
-                        )
-                    });
                     // Fast path: the manager's cached worker inbox.
                     if !self.send_feed(sub_mgr, occ) {
                         self.feed_compositor(sub_mgr, occ);
@@ -853,10 +806,7 @@ impl Router {
                 }
             }
         }
-        if let Some(t0) = t0 {
-            self.metrics
-                .record_span(Stage::EcaManager, t0.elapsed().as_nanos() as u64);
-        }
+        self.metrics.span_end(Stage::EcaManager, t0);
     }
 
     /// Show `occs` to every passive observer. The list is borrowed, not
@@ -927,10 +877,7 @@ impl Router {
         };
         let t0 = self.metrics.span_start();
         let completions = compositor.feed(occ);
-        if let Some(t0) = t0 {
-            self.metrics
-                .record_span(Stage::Compositor, t0.elapsed().as_nanos() as u64);
-        }
+        self.metrics.span_end(Stage::Compositor, t0);
         for completion in completions {
             self.emit_completion(mgr, completion);
         }
@@ -985,18 +932,6 @@ impl Router {
         if self.metrics.on() {
             self.metrics.events.composites_completed.inc();
         }
-        self.trace.log(|| {
-            format!(
-                "composite ECA-manager[{}] completes ({} constituents{})",
-                mgr.name,
-                occ.constituents.len(),
-                if completion.at_window_close {
-                    ", at window close"
-                } else {
-                    ""
-                }
-            )
-        });
         self.deliver(std::slice::from_ref(&occ));
     }
 
@@ -1072,7 +1007,11 @@ impl Drop for Router {
         let mut workers = self.workers.lock();
         for (_, (tx, handle)) in workers.drain() {
             let _ = tx.send(WorkerMsg::Shutdown);
-            let _ = handle.join();
+            // A worker holding the last handle mid-message drops the
+            // router on its own thread; it exits once the drop returns.
+            if handle.thread().id() != std::thread::current().id() {
+                let _ = handle.join();
+            }
         }
     }
 }

@@ -102,36 +102,35 @@ impl ActionPool {
 /// dependency waits of the causally-dependent modes never queue behind
 /// a busy worker — detached concurrency is preserved exactly, only the
 /// spawn cost of the common case is amortized.
+///
+/// Workers hold only the receiver and the idle counter, never the pool:
+/// dropping the pool drops the sender, which ends every worker's `recv`.
 struct DetachedPool {
     tx: crossbeam::channel::Sender<Box<dyn FnOnce() + Send>>,
     /// Workers parked in `recv` and not yet reserved by a submission.
     /// Every successful reservation (CAS decrement) pairs with exactly
     /// one queued job, so a job never waits behind a blocked one.
-    idle: AtomicIsize,
+    idle: Arc<AtomicIsize>,
 }
 
 impl DetachedPool {
     fn new(workers: usize) -> Arc<Self> {
         let (tx, rx) = crossbeam::channel::unbounded::<Box<dyn FnOnce() + Send>>();
-        let pool = Arc::new(DetachedPool {
-            tx,
-            idle: AtomicIsize::new(0),
-        });
+        let idle = Arc::new(AtomicIsize::new(workers as isize));
         for i in 0..workers {
             let rx = rx.clone();
-            let pool2 = Arc::clone(&pool);
+            let idle = Arc::clone(&idle);
             std::thread::Builder::new()
                 .name(format!("reach-detached-{i}"))
                 .spawn(move || {
                     while let Ok(job) = rx.recv() {
                         job();
-                        pool2.idle.fetch_add(1, Ordering::Release);
+                        idle.fetch_add(1, Ordering::Release);
                     }
                 })
                 .expect("spawn detached worker");
         }
-        pool.idle.store(workers as isize, Ordering::Release);
-        pool
+        Arc::new(DetachedPool { tx, idle })
     }
 
     /// Run `job` on a parked worker, or a fresh thread if none is idle.
@@ -176,25 +175,6 @@ pub enum TieBreak {
     OldestFirst,
     /// Optional: newest rule first.
     NewestFirst,
-}
-
-/// Plain-value snapshot of the engine's rule-accounting counters. The
-/// counters themselves live in the stack-wide metrics registry
-/// (`MetricsRegistry::engine`) so `exp_torture`, `exp_observe` and
-/// `Reach::metrics_snapshot()` all read one source of truth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    pub immediate_runs: u64,
-    pub deferred_runs: u64,
-    pub detached_runs: u64,
-    pub actions_executed: u64,
-    pub conditions_false: u64,
-    pub skipped_transient: u64,
-    pub skipped_dependency: u64,
-    pub failures: u64,
-    pub triggering_aborts: u64,
-    pub retries: u64,
-    pub gave_up: u64,
 }
 
 /// Bounded exponential-backoff policy for detached firings that hit a
@@ -291,8 +271,7 @@ pub struct Engine {
     detached_pool: Mutex<Option<Arc<DetachedPool>>>,
     inflight: Mutex<usize>,
     idle: Condvar,
-    /// Stack-wide registry; rule accounting lands in `metrics.engine`
-    /// (ungated — these counters pre-date the observability switch).
+    /// Stack-wide registry; rule accounting lands in `metrics.engine`.
     metrics: Arc<MetricsRegistry>,
     dep_timeout: Duration,
     retry: RwLock<RetryPolicy>,
@@ -416,23 +395,6 @@ impl Engine {
     /// Ablation: run immediate conditions in their own subtransactions.
     pub fn set_conditions_in_subtxn(&self, on: bool) {
         self.conditions_in_subtxn.store(on, Ordering::Release);
-    }
-
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let e = &self.metrics.engine;
-        StatsSnapshot {
-            immediate_runs: e.immediate_runs.get(),
-            deferred_runs: e.deferred_runs.get(),
-            detached_runs: e.detached_runs.get(),
-            actions_executed: e.actions_executed.get(),
-            conditions_false: e.conditions_false.get(),
-            skipped_transient: e.skipped_transient.get(),
-            skipped_dependency: e.skipped_dependency.get(),
-            failures: e.failures.get(),
-            triggering_aborts: e.triggering_aborts.get(),
-            retries: e.retries.get(),
-            gave_up: e.gave_up.get(),
-        }
     }
 
     /// Sort rules for firing: priority descending, then the tie-break.
@@ -604,10 +566,7 @@ impl Engine {
                 Err(e)
             }
         };
-        if let Some(t0) = t0 {
-            self.metrics
-                .record_span(Stage::Subtransaction, t0.elapsed().as_nanos() as u64);
-        }
+        self.metrics.span_end(Stage::Subtransaction, t0);
         out
     }
 
@@ -808,10 +767,7 @@ impl Engine {
                     Err(e)
                 }
             };
-            if let Some(t0) = t0 {
-                self.metrics
-                    .record_span(Stage::Subtransaction, t0.elapsed().as_nanos() as u64);
-            }
+            self.metrics.span_end(Stage::Subtransaction, t0);
             out?;
         }
         Ok(())
@@ -1071,10 +1027,7 @@ impl Engine {
             }
             self.fire_immediate(&rules, occ);
         }
-        if let Some(t0) = t0 {
-            self.metrics
-                .record_span(Stage::Engine, t0.elapsed().as_nanos() as u64);
-        }
+        self.metrics.span_end(Stage::Engine, t0);
     }
 }
 

@@ -46,8 +46,7 @@ pub use algebra::{CompositionScope, Correlation, EventExpr, Lifespan};
 pub use consumption::ConsumptionPolicy;
 pub use coupling::{supported, CouplingMode, EventCategory};
 pub use engine::{
-    DeadLetter, ExecutionStrategy, FiringListener, FiringNotice, RetryPolicy, StatsSnapshot,
-    TieBreak,
+    DeadLetter, ExecutionStrategy, FiringListener, FiringNotice, RetryPolicy, TieBreak,
 };
 pub use event::{EventData, EventOccurrence, EventSpec, PrimitiveEvent};
 pub use reach::{ReachConfig, ReachSystem};

@@ -13,9 +13,7 @@ use crate::algebra::{validate_composite, CompositionScope, Correlation, EventExp
 use crate::consumption::ConsumptionPolicy;
 use crate::coupling::{self, CouplingMode, EventCategory};
 use crate::eca::{CompositionMode, EcaManager, Router};
-use crate::engine::{
-    DeadLetter, Engine, EngineHandler, ExecutionStrategy, RetryPolicy, StatsSnapshot, TieBreak,
-};
+use crate::engine::{DeadLetter, Engine, EngineHandler, ExecutionStrategy, RetryPolicy, TieBreak};
 use crate::event::{CompositeSpec, EventSpec, FlowPoint, MethodPhase, PrimitiveEvent};
 use crate::history::GlobalHistory;
 use crate::rule::{Rule, RuleBuilder};
@@ -23,14 +21,14 @@ use crate::temporal::TemporalManager;
 use open_oodb::Database;
 use reach_common::sync::RwLock;
 use reach_common::{
-    ClassId, EventTypeId, IdGen, MetricsRegistry, MetricsSnapshot, ReachError, Result, RuleId,
-    Stage, TimePoint, Timestamp, TxnId,
+    ClassId, EventTypeId, IdGen, MetricsRegistry, ReachError, Result, RuleId, Stage, TimePoint,
+    Timestamp, TxnId,
 };
 use reach_object::{MethodCall, MethodSentry, StateChange, StateSentry, Value};
 use reach_txn::{TxnEvent, TxnEventKind, TxnListener};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// Construction-time options.
@@ -118,8 +116,13 @@ impl ReachSystem {
         router.set_handler(Arc::new(EngineHandler(Arc::clone(&engine))));
         let temporal = TemporalManager::new(Arc::clone(&router));
         {
-            let t = Arc::clone(&temporal);
-            router.add_observer(Arc::new(move |occ| t.observe(occ)));
+            // Weak: the temporal manager holds the router.
+            let t = Arc::downgrade(&temporal);
+            router.add_observer(Arc::new(move |occ| {
+                if let Some(t) = t.upgrade() {
+                    t.observe(occ);
+                }
+            }));
         }
         let system = Arc::new(ReachSystem {
             db: Arc::clone(&db),
@@ -132,18 +135,19 @@ impl ReachSystem {
             rule_seq: AtomicU64::new(1),
             ticker_stop: Arc::new(AtomicBool::new(false)),
         });
-        // Wire the detectors onto the substrate's sentry hooks.
+        // Wire the detectors onto the substrate's sentry hooks. The
+        // database owns the hooks, so they hold the system weakly.
+        let weak = Arc::downgrade(&system);
         db.dispatcher()
-            .add_sentry(Arc::new(MethodBridge(Arc::clone(&system))));
+            .add_sentry(Arc::new(MethodBridge(weak.clone())));
         db.space()
-            .add_state_sentry(Arc::new(StateBridge(Arc::clone(&system))));
+            .add_state_sentry(Arc::new(StateBridge(weak.clone())));
         db.space()
-            .add_lifecycle_sentry(Arc::new(LifecycleBridge(Arc::clone(&system))));
+            .add_lifecycle_sentry(Arc::new(LifecycleBridge(weak.clone())));
         db.txn_manager()
-            .add_listener(Arc::new(FlowBridge(Arc::clone(&system))));
+            .add_listener(Arc::new(FlowBridge(weak.clone())));
         {
             // The `persist` DB-internal event (§3.1).
-            let weak = Arc::downgrade(&system);
             db.persistence_pm()
                 .add_persist_hook(Arc::new(move |txn, oid| {
                     let Some(sys) = weak.upgrade() else { return };
@@ -199,27 +203,12 @@ impl ReachSystem {
         &self.global_history
     }
 
-    pub fn stats(&self) -> StatsSnapshot {
-        self.engine.snapshot()
-    }
-
     /// The stack-wide observability registry (owned by the storage
-    /// layer, shared by every component of this system).
+    /// layer, shared by every component of this system). Read it with
+    /// `metrics().snapshot()`; `metrics().enable()` turns on the gated
+    /// families.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         self.db.metrics()
-    }
-
-    /// Turn on firing-path spans, latency histograms and the gated
-    /// counter families. Until this is called the instrumentation costs
-    /// one relaxed atomic load per record site.
-    pub fn enable_metrics(&self) {
-        self.db.metrics().enable();
-    }
-
-    /// Plain-data copy of every counter, histogram and recent-span ring
-    /// — render it with [`MetricsSnapshot::render`].
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.db.metrics().snapshot()
     }
 
     /// Take an explicit fuzzy checkpoint (flush, log the dirty-page and
@@ -665,8 +654,12 @@ impl std::fmt::Debug for ReachSystem {
 // ---------------------------------------------------------------------
 // Detector bridges
 // ---------------------------------------------------------------------
+//
+// Each bridge holds the system weakly and upgrades once per call (a
+// batch is one call): the database owns the bridges, and a strong
+// handle would keep the system and its database alive forever.
 
-struct MethodBridge(Arc<ReachSystem>);
+struct MethodBridge(Weak<ReachSystem>);
 
 impl MethodBridge {
     /// Raise the `phase` method events of `calls` in one router pass,
@@ -678,8 +671,11 @@ impl MethodBridge {
     /// This bridge *is* the integrated in-line wrapper sentry: the
     /// dispatcher only calls it for monitored methods, so every
     /// traversal is useful work.
-    fn raise<'a>(&self, calls: impl ExactSizeIterator<Item = &'a MethodCall>, phase: MethodPhase) {
-        let sys = &self.0;
+    fn raise<'a>(
+        sys: &ReachSystem,
+        calls: impl ExactSizeIterator<Item = &'a MethodCall>,
+        phase: MethodPhase,
+    ) {
         let t0 = sys.db.metrics().span_start();
         let at = sys.db.clock().now();
         let mut last: Option<(TxnId, TxnId)> = None;
@@ -731,36 +727,44 @@ impl MethodBridge {
 
 impl MethodSentry for MethodBridge {
     fn before(&self, call: &MethodCall) -> Result<()> {
+        let Some(sys) = self.0.upgrade() else {
+            return Ok(());
+        };
         // No before-phase method event is registered anywhere: the
         // raise cannot match and no immediate rule can veto, so skip
         // the txn resolution, index lookup and activity check outright.
-        if !self.0.router.observes_method_phase(MethodPhase::Before) {
+        if !sys.router.observes_method_phase(MethodPhase::Before) {
             return Ok(());
         }
-        self.raise(std::iter::once(call), MethodPhase::Before);
+        Self::raise(&sys, std::iter::once(call), MethodPhase::Before);
         // An immediate rule may have aborted the triggering transaction
         // (consistency veto): refuse to run the method body then.
-        if !call.txn.is_null() && !self.0.db.txn_manager().is_active(call.txn) {
+        if !call.txn.is_null() && !sys.db.txn_manager().is_active(call.txn) {
             return Err(ReachError::TxnAborted(call.txn));
         }
         Ok(())
     }
 
     fn after(&self, calls: &[(MethodCall, Result<Value>)]) {
-        if self.0.router.observes_method_phase(MethodPhase::After) {
-            self.raise(calls.iter().map(|(call, _)| call), MethodPhase::After);
+        let Some(sys) = self.0.upgrade() else {
+            return;
+        };
+        if sys.router.observes_method_phase(MethodPhase::After) {
+            Self::raise(&sys, calls.iter().map(|(call, _)| call), MethodPhase::After);
         }
     }
 }
 
-struct StateBridge(Arc<ReachSystem>);
+struct StateBridge(Weak<ReachSystem>);
 
 impl StateSentry for StateBridge {
     fn on_change(&self, change: &StateChange) {
-        let sys = &self.0;
         if change.txn.is_null() {
             return;
         }
+        let Some(sys) = self.0.upgrade() else {
+            return;
+        };
         let Ok(top) = sys.db.txn_manager().top_of(change.txn) else {
             return;
         };
@@ -784,7 +788,7 @@ impl StateSentry for StateBridge {
     }
 }
 
-struct LifecycleBridge(Arc<ReachSystem>);
+struct LifecycleBridge(Weak<ReachSystem>);
 
 impl reach_object::LifecycleSentry for LifecycleBridge {
     fn on_create(
@@ -808,10 +812,12 @@ impl reach_object::LifecycleSentry for LifecycleBridge {
 
 impl LifecycleBridge {
     fn raise(&self, txn: TxnId, oid: reach_common::ObjectId, class: ClassId, deletion: bool) {
-        let sys = &self.0;
         if txn.is_null() {
             return;
         }
+        let Some(sys) = self.0.upgrade() else {
+            return;
+        };
         let Ok(top) = sys.db.txn_manager().top_of(txn) else {
             return;
         };
@@ -820,11 +826,13 @@ impl LifecycleBridge {
     }
 }
 
-struct FlowBridge(Arc<ReachSystem>);
+struct FlowBridge(Weak<ReachSystem>);
 
 impl TxnListener for FlowBridge {
     fn on_txn_event(&self, event: &TxnEvent) {
-        let sys = &self.0;
+        let Some(sys) = self.0.upgrade() else {
+            return;
+        };
         let point = match event.kind {
             TxnEventKind::Begin => FlowPoint::Begin,
             TxnEventKind::PreCommit => FlowPoint::PreCommit,

@@ -152,7 +152,7 @@ struct Run {
 }
 
 fn stats_of(sys: &ReachSystem) -> (u64, u64, u64, u64) {
-    let s = sys.stats();
+    let s = sys.metrics().snapshot();
     (
         s.immediate_runs,
         s.deferred_runs,

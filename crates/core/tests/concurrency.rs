@@ -79,7 +79,7 @@ fn exclusive_mode_receives_the_triggers_locks_on_abort() {
     go_tx.send(()).unwrap();
     sys.wait_quiescent();
     assert_eq!(lm.held_mode(rule_txn, oid), None, "released at commit");
-    assert_eq!(sys.stats().skipped_dependency, 0);
+    assert_eq!(sys.metrics().snapshot().skipped_dependency, 0);
 }
 
 #[test]
@@ -177,8 +177,8 @@ fn detached_rule_storm_settles() {
     }
     sys.wait_quiescent();
     assert_eq!(count.load(Ordering::SeqCst), 100);
-    assert_eq!(sys.stats().detached_runs, 100);
-    assert_eq!(sys.stats().failures, 0);
+    assert_eq!(sys.metrics().snapshot().detached_runs, 100);
+    assert_eq!(sys.metrics().snapshot().failures, 0);
 }
 
 #[test]

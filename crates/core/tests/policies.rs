@@ -556,7 +556,7 @@ fn split_coupling_immediate_condition_detached_action() {
     w.hit(oid, -5); // condition false -> nothing
     w.sys.wait_quiescent();
     assert_eq!(ran.load(Ordering::SeqCst), 1);
-    assert_eq!(w.sys.stats().conditions_false, 1);
+    assert_eq!(w.sys.metrics().snapshot().conditions_false, 1);
 }
 
 #[test]

@@ -53,14 +53,6 @@ fn reach_system_in_memory_convenience() {
     let sys = ReachSystem::in_memory().unwrap();
     assert_eq!(sys.rule_count(), 0);
     assert!(sys.db().clock().is_virtual());
-    // Trace defaults to disabled: logging closures never run.
-    sys.router().trace.log(|| panic!("must not be evaluated"));
-    assert!(sys.router().trace.take().is_empty());
-    sys.router().trace.enable();
-    sys.router().trace.log(|| "line".to_string());
-    sys.router().trace.disable();
-    sys.router().trace.log(|| panic!("disabled again"));
-    assert_eq!(sys.router().trace.take(), vec!["line".to_string()]);
 }
 
 #[test]

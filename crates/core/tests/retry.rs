@@ -107,7 +107,7 @@ fn deadlock_victim_rule_is_retried_until_both_commit() {
     db.commit(t).unwrap();
     sys.wait_quiescent();
 
-    let stats = sys.stats();
+    let stats = sys.metrics().snapshot();
     assert_eq!(stats.detached_runs, 2, "each rule fired exactly once");
     assert!(
         stats.retries >= 1,
@@ -164,7 +164,7 @@ fn transient_failure_exhausts_retries_and_lands_in_dead_letters() {
     db.commit(t).unwrap();
     sys.wait_quiescent();
 
-    let stats = sys.stats();
+    let stats = sys.metrics().snapshot();
     assert_eq!(attempts.load(Ordering::SeqCst), 3, "max_attempts honoured");
     assert_eq!(stats.retries, 2);
     assert_eq!(stats.gave_up, 1);
@@ -204,7 +204,7 @@ fn permanent_failure_is_dead_lettered_without_retry() {
     db.commit(t).unwrap();
     sys.wait_quiescent();
 
-    let stats = sys.stats();
+    let stats = sys.metrics().snapshot();
     assert_eq!(
         attempts.load(Ordering::SeqCst),
         1,

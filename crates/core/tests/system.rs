@@ -84,7 +84,7 @@ fn immediate_rule_fires_synchronously_within_transaction() {
     db.invoke(t, oid, "report", &[Value::Int(50)]).unwrap();
     assert_eq!(count.load(Ordering::SeqCst), 1, "fires inline");
     db.commit(t).unwrap();
-    assert_eq!(sys.stats().immediate_runs, 2);
+    assert_eq!(sys.metrics().snapshot().immediate_runs, 2);
 }
 
 #[test]
@@ -141,7 +141,7 @@ fn failing_immediate_rule_aborts_the_triggering_transaction() {
     // The rule aborted the whole transaction.
     assert!(!db.txn_manager().is_active(t));
     assert!(db.invoke(t, oid, "report", &[Value::Int(1)]).is_err());
-    assert_eq!(sys.stats().triggering_aborts, 1);
+    assert_eq!(sys.metrics().snapshot().triggering_aborts, 1);
     // And the sensor's value write was rolled back.
     let t2 = db.begin().unwrap();
     assert_eq!(db.get_attr(t2, oid, "value").unwrap(), Value::Int(0));
@@ -178,7 +178,7 @@ fn deferred_rules_run_at_pre_commit_in_priority_order() {
     assert!(order.lock().is_empty(), "nothing fires before commit");
     db.commit(t).unwrap();
     assert_eq!(*order.lock(), vec!["high", "mid", "low"]);
-    assert_eq!(sys.stats().deferred_runs, 3);
+    assert_eq!(sys.metrics().snapshot().deferred_runs, 3);
 }
 
 #[test]
@@ -235,7 +235,7 @@ fn detached_rule_runs_in_independent_transaction() {
     db.abort(t).unwrap();
     sys.wait_quiescent();
     assert_eq!(seen.load(Ordering::SeqCst), 7);
-    assert_eq!(sys.stats().detached_runs, 1);
+    assert_eq!(sys.metrics().snapshot().detached_runs, 1);
 }
 
 #[test]
@@ -259,8 +259,12 @@ fn detached_rule_rejects_transient_receiver() {
     db.invoke(t, oid, "report", &[Value::Int(1)]).unwrap();
     db.commit(t).unwrap();
     sys.wait_quiescent();
-    assert_eq!(sys.stats().detached_runs, 0);
-    assert_eq!(sys.stats().skipped_transient, 1, "§3.2 enforcement");
+    assert_eq!(sys.metrics().snapshot().detached_runs, 0);
+    assert_eq!(
+        sys.metrics().snapshot().skipped_transient,
+        1,
+        "§3.2 enforcement"
+    );
 }
 
 #[test]
@@ -295,8 +299,8 @@ fn parallel_causally_dependent_commits_iff_trigger_commits() {
         sys.wait_quiescent();
         // The rule ran either way (parallel), but committed only if the
         // trigger did.
-        assert_eq!(sys.stats().detached_runs, 1);
-        sys.stats().skipped_dependency
+        assert_eq!(sys.metrics().snapshot().detached_runs, 1);
+        sys.metrics().snapshot().skipped_dependency
     };
     assert_eq!(run(false), 0, "trigger committed -> rule commits");
     assert_eq!(run(true), 1, "trigger aborted -> rule must abort");
@@ -367,7 +371,7 @@ fn sequential_causally_dependent_skips_on_abort() {
     db.abort(t).unwrap();
     sys.wait_quiescent();
     assert_eq!(ran.load(Ordering::SeqCst), 0, "never starts");
-    assert_eq!(sys.stats().skipped_dependency, 1);
+    assert_eq!(sys.metrics().snapshot().skipped_dependency, 1);
 }
 
 #[test]
@@ -395,7 +399,7 @@ fn exclusive_causally_dependent_is_the_contingency_path() {
             db.commit(t).unwrap();
         }
         sys.wait_quiescent();
-        sys.stats().skipped_dependency
+        sys.metrics().snapshot().skipped_dependency
     };
     assert_eq!(run(true), 0, "trigger aborted -> contingency commits");
     assert_eq!(run(false), 1, "trigger committed -> contingency aborts");
@@ -921,7 +925,7 @@ fn parallel_immediate_strategy_executes_all_sibling_rules() {
     db.invoke(t, oid, "report", &[Value::Int(1)]).unwrap();
     db.commit(t).unwrap();
     assert_eq!(count.load(Ordering::SeqCst), 6);
-    assert_eq!(sys.stats().immediate_runs, 6);
+    assert_eq!(sys.metrics().snapshot().immediate_runs, 6);
 }
 
 #[test]
@@ -947,14 +951,24 @@ fn histories_are_local_then_collected_globally() {
 
 #[test]
 fn figure2_trace_records_the_message_flow() {
+    // The Figure 2 cast: a method event, a rule fired directly by it,
+    // and a composite ECA-manager fed by it whose completion fires a
+    // non-immediate rule.
     let w = world();
     let sys = &w.sys;
     let ev = sys
-        .define_method_event("after-report", w.sensor, "report", MethodPhase::After)
+        .define_method_event("method-event", w.sensor, "report", MethodPhase::After)
         .unwrap();
-    let _comp = sys
+    sys.define_rule(
+        RuleBuilder::new("direct-rule")
+            .on(ev)
+            .coupling(CouplingMode::Immediate)
+            .then(|_| Ok(())),
+    )
+    .unwrap();
+    let comp = sys
         .define_composite(
-            "pair",
+            "composite-event",
             EventExpr::History {
                 expr: Arc::new(EventExpr::Primitive(ev)),
                 count: 2,
@@ -965,24 +979,60 @@ fn figure2_trace_records_the_message_flow() {
         )
         .unwrap();
     sys.define_rule(
-        RuleBuilder::new("r")
-            .on(ev)
-            .coupling(CouplingMode::Immediate)
+        RuleBuilder::new("non-immediate-rule")
+            .on(comp)
+            .coupling(CouplingMode::Deferred)
             .then(|_| Ok(())),
     )
     .unwrap();
-    sys.router().trace.enable();
     let oid = w.sensor_obj();
+
+    // The flow is rebuilt from the two shipped hooks: the router's
+    // delivery observer and the engine's firing listener.
+    let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+    {
+        let router = Arc::downgrade(sys.router());
+        let log = Arc::clone(&log);
+        sys.router().add_observer(Arc::new(move |occ| {
+            let router = router.upgrade().unwrap();
+            let mgr = router.manager(occ.event_type).unwrap();
+            let subs: Vec<String> = mgr
+                .subscribers()
+                .into_iter()
+                .map(|s| router.manager(s).unwrap().name.clone())
+                .collect();
+            log.lock().unwrap().push(format!(
+                "{} seq {} ({} constituents) -> {subs:?}",
+                mgr.name,
+                occ.seq.raw(),
+                occ.constituents.len()
+            ));
+        }));
+    }
+    {
+        let log = Arc::clone(&log);
+        sys.add_firing_listener(Box::new(move |n| {
+            log.lock().unwrap().push(format!("fired {}", n.rule_name));
+        }));
+    }
     let db = sys.db();
     let t = db.begin().unwrap();
     db.invoke(t, oid, "report", &[Value::Int(1)]).unwrap();
+    db.invoke(t, oid, "report", &[Value::Int(2)]).unwrap();
+    log.lock().unwrap().push("commit".to_string());
     db.commit(t).unwrap();
-    let trace = sys.router().trace.take().join("\n");
-    assert!(trace.contains("method-event detected"), "{trace}");
-    assert!(trace.contains("creates Event object"), "{trace}");
-    assert!(trace.contains("fires 1 rule"), "{trace}");
-    assert!(
-        trace.contains("propagates -> composite ECA-manager"),
-        "{trace}"
+
+    let flow = log.lock().unwrap().clone();
+    assert_eq!(
+        flow,
+        [
+            r#"method-event seq 1 (0 constituents) -> ["composite-event"]"#,
+            "fired direct-rule",
+            r#"method-event seq 2 (0 constituents) -> ["composite-event"]"#,
+            "fired direct-rule",
+            "composite-event seq 3 (2 constituents) -> []",
+            "commit",
+            "fired non-immediate-rule",
+        ]
     );
 }

@@ -275,17 +275,17 @@ fn run_variant(policy: ConsumptionPolicy, workload: &[Step], shards: u32) -> Run
         .map(Mutex::into_inner)
         .unwrap_or_else(|l| l.lock().clone());
     detached.sort();
-    let stats = dist
-        .systems()
-        .iter()
-        .map(|s| s.stats())
-        .fold((0, 0, 0), |(i, d, a), s| {
-            (
-                i + s.immediate_runs,
-                d + s.deferred_runs,
-                a + s.actions_executed,
-            )
-        });
+    let stats =
+        dist.systems()
+            .iter()
+            .map(|s| s.metrics().snapshot())
+            .fold((0, 0, 0), |(i, d, a), s| {
+                (
+                    i + s.immediate_runs,
+                    d + s.deferred_runs,
+                    a + s.actions_executed,
+                )
+            });
     Run {
         sync_log: Arc::try_unwrap(sync_log)
             .map(Mutex::into_inner)

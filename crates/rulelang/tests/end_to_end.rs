@@ -106,8 +106,8 @@ fn the_papers_rule_fires_end_to_end() {
         Value::Float(950.0)
     );
     db.commit(t).unwrap();
-    assert_eq!(sys.stats().actions_executed, 1);
-    assert_eq!(sys.stats().conditions_false, 2);
+    assert_eq!(sys.metrics().snapshot().actions_executed, 1);
+    assert_eq!(sys.metrics().snapshot().conditions_false, 2);
 }
 
 #[test]

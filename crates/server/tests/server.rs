@@ -93,7 +93,7 @@ fn crud_round_trips_over_the_wire() {
 #[test]
 fn snapshot_transactions_read_lock_free_over_the_wire() {
     let (sys, class) = world();
-    sys.enable_metrics();
+    sys.metrics().enable();
     let oid = persistent_obj(&sys, class);
     let handle = serve(Arc::clone(&sys), quick_cfg()).unwrap();
     let mut c = Client::connect(&handle.addr(), client_cfg()).unwrap();

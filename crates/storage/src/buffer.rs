@@ -53,20 +53,6 @@ struct Directory {
     hand: usize,
 }
 
-/// Statistics the benchmark harness reads (a plain copy of the
-/// pool's counters in the shared [`MetricsRegistry`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Fetches served from a resident frame.
-    pub hits: u64,
-    /// Fetches that had to read from the device.
-    pub misses: u64,
-    /// Frames whose occupant was evicted by the clock hand.
-    pub evictions: u64,
-    /// Dirty pages written back (eviction or flush).
-    pub writebacks: u64,
-}
-
 /// A fixed-capacity page cache over a stable-storage device.
 pub struct BufferPool {
     disk: Arc<dyn StableStorage>,
@@ -84,9 +70,7 @@ impl BufferPool {
     }
 
     /// A pool recording hit/miss/eviction counters into a shared
-    /// registry. The pool counters are ungated: they are plain relaxed
-    /// adds and are read by tests and benches without enabling
-    /// observability.
+    /// registry.
     pub fn with_metrics(
         disk: Arc<dyn StableStorage>,
         capacity: usize,
@@ -343,16 +327,6 @@ impl BufferPool {
         out
     }
 
-    /// Current hit/miss/eviction counters.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            hits: self.metrics.pool.hits.get(),
-            misses: self.metrics.pool.misses.get(),
-            evictions: self.metrics.pool.evictions.get(),
-            writebacks: self.metrics.pool.writebacks.get(),
-        }
-    }
-
     /// Number of frames.
     pub fn capacity(&self) -> usize {
         self.frames.len()
@@ -379,8 +353,8 @@ mod tests {
             .with_page(id, |pg| pg.get(slot).unwrap().to_vec())
             .unwrap();
         assert_eq!(data, b"cached");
-        assert_eq!(p.stats().misses, 1);
-        assert_eq!(p.stats().hits, 1);
+        assert_eq!(p.metrics().snapshot().pool_misses, 1);
+        assert_eq!(p.metrics().snapshot().pool_hits, 1);
     }
 
     #[test]
@@ -396,7 +370,7 @@ mod tests {
         }
         // With 2 frames and 4 pages, at least two evictions happened and
         // every record must still be readable (via write-back + re-read).
-        assert!(p.stats().evictions >= 2);
+        assert!(p.metrics().snapshot().pool_evictions >= 2);
         for (i, id) in ids.iter().enumerate() {
             let data = p
                 .with_page(*id, |pg| pg.get(slots[i]).unwrap().to_vec())
@@ -437,10 +411,10 @@ mod tests {
         p.with_page(b, |_| ()).unwrap();
         let e = p.allocate().unwrap();
         p.with_page(e, |_| ()).unwrap();
-        let before = p.stats().hits;
+        let before = p.metrics().snapshot().pool_hits;
         p.with_page(b, |_| ()).unwrap();
         assert_eq!(
-            p.stats().hits,
+            p.metrics().snapshot().pool_hits,
             before + 1,
             "B should have survived via second chance"
         );
@@ -469,7 +443,7 @@ mod tests {
         }
         assert_eq!(calls.load(Ordering::SeqCst), 0);
         p.with_page(ids[2], |_| ()).unwrap();
-        assert_eq!(p.stats().writebacks, 1);
+        assert_eq!(p.metrics().snapshot().pool_writebacks, 1);
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         // flush_all calls it once for the whole sweep.
         p.flush_all().unwrap();

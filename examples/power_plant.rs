@@ -99,7 +99,7 @@ fn main() -> reach::Result<()> {
             temps[day]
         );
     }
-    let stats = sys.stats();
+    let stats = sys.metrics().snapshot();
     println!(
         "\nimmediate rule executions: {}, actions fired: {}, conditions false: {}",
         stats.immediate_runs, stats.actions_executed, stats.conditions_false

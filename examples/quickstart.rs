@@ -93,6 +93,10 @@ fn main() -> reach::Result<()> {
     let balance = db.get_attr(t, alice, "balance")?;
     db.commit(t)?;
     println!("final balance: {balance} (unchanged by the aborted overdraft)");
-    println!("engine stats: {:?}", sys.stats());
+    let stats = sys.metrics().snapshot();
+    println!(
+        "rule runs: immediate {}, actions executed {}, triggering aborts {}",
+        stats.immediate_runs, stats.actions_executed, stats.triggering_aborts
+    );
     Ok(())
 }

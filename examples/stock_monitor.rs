@@ -143,7 +143,7 @@ fn main() -> reach::Result<()> {
     println!(
         "\nalerts: {}, detached rule runs: {}",
         alerts.load(Ordering::SeqCst),
-        sys.stats().detached_runs
+        sys.metrics().snapshot().detached_runs
     );
     Ok(())
 }

@@ -173,11 +173,14 @@ fn main() -> reach::Result<()> {
     let t = db.begin()?;
     println!("\norder A status: {}", db.get_attr(t, order_a, "status")?);
     db.commit(t)?;
+    let stats = sys.metrics().snapshot();
     println!(
-        "shipped: {}, escalations: {}, stats: {:?}",
+        "shipped: {}, escalations: {}, rule runs: immediate {}, deferred {}, detached {}",
         shipped.load(Ordering::SeqCst),
         escalations.load(Ordering::SeqCst),
-        sys.stats()
+        stats.immediate_runs,
+        stats.deferred_runs,
+        stats.detached_runs
     );
     Ok(())
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, full test suite, and the smoke runs of
-# the crash-point torture, group-commit, and server-overload harnesses.
+# Tier-1 gate: release build, full test suite, the benchmark build, and
+# the smoke runs of the crash-point torture, group-commit, and
+# server-overload harnesses.
 # Every experiment invocation runs under a hard timeout so a wedged
 # harness fails the gate instead of hanging it.
 #
@@ -34,6 +35,12 @@ cargo build --release
 
 echo "== tier-1: tests =="
 cargo test -q
+
+# reachbench is a package of its own that builds against the crates'
+# public APIs: an API change that breaks it fails here, not in the
+# benchmark run.
+echo "== tier-1: benchmark build (reachbench) =="
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path reachbench/Cargo.toml
 
 echo "== tier-1: crash-point torture smoke (200 ops, every WAL frame) =="
 timeout "$EXP_TIMEOUT" cargo run --release -p reach-bench --bin exp_torture -- 12648430 200
